@@ -40,10 +40,6 @@ from .simulate import (
     Simulator,
     detect_equilibrium,
     dynamic_exit_coefficients,
-    init_state,
-    run,
-    stable_dt,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -75,14 +71,10 @@ __all__ = [
     "dynamic_exit_coefficients",
     "equilibrium_coefficients",
     "equilibrium_fluxes",
-    "init_state",
     "initial_coefficients",
     "parse_scenario",
-    "run",
     "run_bench",
     "solve",
-    "stable_dt",
-    "step",
     "write_scenario",
     "write_timeseries",
 ]

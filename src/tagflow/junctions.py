@@ -6,9 +6,14 @@ flux through the distribution matrix, and per-outgoing-arc supply caps.
 Among multiple maximizers the right-of-way weights pick the point that
 serves incoming arcs greedily in descending priority (waterfilling).
 
-The degrees that dominate real networks (one-in, and all-ones merge
-rows) are solved in closed form; anything else goes through an LP with
-a lexicographic refinement pass for the priority selection.
+Two junction kinds have closed forms (Coclite, Garavello & Piccoli,
+SIAM J. Math. Anal. 36, 2005): a diverge (one incoming arc) admits the
+largest flux every routed share fits, and a merge (one outgoing arc
+taking every incoming arc whole) waterfills the shared supply in
+priority order.  classify names a junction's kind; diverge and merge
+solve a whole batch of one kind at once, and the simulator calls them
+on stacked junctions.  Anything else is "general" and goes through an
+LP with a lexicographic refinement pass for the priority selection.
 """
 
 from __future__ import annotations
@@ -18,7 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-__all__ = ["JunctionProblem", "JunctionFluxSolution", "solve", "brute_force_solve"]
+from .network import _COLUMN_TOL
+
+__all__ = [
+    "JunctionProblem",
+    "JunctionFluxSolution",
+    "classify",
+    "diverge",
+    "merge",
+    "priority_order",
+    "solve",
+    "brute_force_solve",
+]
 
 # Slack when testing feasibility of grid points against supplies.
 _FEAS_TOL = 1e-12
@@ -82,9 +98,9 @@ class JunctionFluxSolution:
         return float(np.sum(self.gamma_in))
 
 
-def _priority_order(p: JunctionProblem) -> list[int]:
+def priority_order(priority: np.ndarray) -> list[int]:
     """Incoming-arc indices in descending priority, position breaking ties."""
-    return sorted(range(p.n_in), key=lambda i: (-p.priority[i], i))
+    return sorted(range(len(priority)), key=lambda i: (-priority[i], i))
 
 
 def _finish(p: JunctionProblem, gamma: np.ndarray) -> JunctionFluxSolution:
@@ -100,14 +116,44 @@ def _finish(p: JunctionProblem, gamma: np.ndarray) -> JunctionFluxSolution:
     return JunctionFluxSolution(gamma_in=gamma, gamma_out=p.distribution @ gamma)
 
 
-def _max_single(p: JunctionProblem, loads: np.ndarray, i: int) -> float:
-    """Largest admissible flux for incoming arc i given supply already used."""
-    col = p.distribution[:, i]
-    cap = p.demands[i]
-    positive = col > 0.0
-    if np.any(positive):
-        cap = min(cap, np.min((p.supplies[positive] - loads[positive]) / col[positive]))
-    return max(cap, 0.0)
+def classify(distribution: np.ndarray) -> str:
+    """"diverge", "merge" or "general" for an (n_out, n_in) distribution.
+
+    A merge row must equal 1 within the network's column tolerance, so
+    every row Network.validate accepts for a merge takes the closed form.
+    """
+    n_out, n_in = distribution.shape
+    if n_in == 1:
+        return "diverge"
+    if n_out == 1 and np.all(np.abs(distribution - 1.0) <= _COLUMN_TOL):
+        return "merge"
+    return "general"
+
+
+def diverge(demands: np.ndarray, supplies: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """Admitted flux of B one-in junctions: demands (B,), supplies and split (B, n_out).
+
+    Each junction admits the largest flux whose routed shares fit every
+    supply; outgoing arcs with a zero share impose no cap.
+    """
+    positive = split > 0.0
+    with np.errstate(divide="ignore"):
+        limit = np.where(positive, supplies / np.where(positive, split, 1.0), np.inf)
+    return np.minimum(demands, limit.min(axis=1))
+
+
+def merge(demands: np.ndarray, supplies: np.ndarray) -> np.ndarray:
+    """Admitted flux (B, n_in) of B merges; demands (B, n_in) in priority order.
+
+    The shared supply (B,) is waterfilled: each incoming arc takes what
+    it demands of what the arcs before it left.
+    """
+    gamma = np.empty_like(demands)
+    remaining = supplies
+    for i in range(demands.shape[1]):
+        gamma[:, i] = np.minimum(demands[:, i], np.maximum(remaining, 0.0))
+        remaining = remaining - gamma[:, i]
+    return gamma
 
 
 def solve(p: JunctionProblem) -> JunctionFluxSolution:
@@ -118,20 +164,16 @@ def solve(p: JunctionProblem) -> JunctionFluxSolution:
     the node balance sum(gamma_in) == sum(gamma_out) holds exactly
     whenever the distribution columns each sum to one.
     """
-    if p.n_in == 1:
-        gamma = np.array([_max_single(p, np.zeros(p.n_out), 0)])
-        return _finish(p, gamma)
-
-    if p.n_out == 1 and np.all(p.distribution == 1.0):
-        # pure merge: one shared supply, waterfill in priority order
-        gamma = np.zeros(p.n_in)
-        remaining = p.supplies[0]
-        for i in _priority_order(p):
-            gamma[i] = min(p.demands[i], max(remaining, 0.0))
-            remaining -= gamma[i]
-        return _finish(p, gamma)
-
-    return _lp_solve(p)
+    kind = classify(p.distribution)
+    if kind == "diverge":
+        gamma = diverge(p.demands, p.supplies[None, :], p.distribution.T)
+    elif kind == "merge":
+        order = priority_order(p.priority)
+        gamma = np.empty(p.n_in)
+        gamma[order] = merge(p.demands[None, order], p.supplies)[0]
+    else:
+        return _lp_solve(p)
+    return _finish(p, gamma)
 
 
 _LP_OPTIONS = {
@@ -159,7 +201,7 @@ def _lp_solve(p: JunctionProblem) -> JunctionFluxSolution:
     a_ub = np.vstack([p.distribution, total_row])
     b_ub = np.concatenate([p.supplies, [-(best_total - slack)]])
     gamma = np.zeros(p.n_in)
-    for i in _priority_order(p):
+    for i in priority_order(p.priority):
         c = np.zeros(p.n_in)
         c[i] = -1.0
         res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=_LP_OPTIONS)
@@ -226,7 +268,7 @@ def brute_force_solve(p: JunctionProblem, grid_step: float = 1e-3) -> JunctionFl
     best = totals.max()
     ties = np.nonzero(totals >= best - _TIE_TOL)[0]
 
-    order = _priority_order(p)
+    order = priority_order(p.priority)
     candidates = np.column_stack([heads, tails])[ties]
     ranked = max(range(len(ties)), key=lambda k: tuple(candidates[k, order]))
     return _finish(p, candidates[ranked])

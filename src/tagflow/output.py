@@ -26,39 +26,38 @@ def _fmt(value: float) -> str:
 def write_timeseries(result: RunResult, destination: str | Path) -> dict[str, Path]:
     """Write densities.csv, fluxes.csv, coefficients.csv, summary.json.
 
-    Requires a run recorded with profiles; raises ValueError otherwise
-    and OSError when the destination is not writable.
+    A run recorded without profiles has no densities.csv; the other
+    three files are written all the same.  Raises OSError when the
+    destination is not writable.
     """
-    if result.density is None:
-        raise ValueError("run was recorded without profiles; nothing to write")
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
 
     order = sorted(range(len(result.arc_ids)), key=lambda k: result.arc_ids[k])
-    offsets = np.concatenate(
-        [[0], np.cumsum([result.cells_per_arc[a] for a in result.arc_ids])]
-    )
-
     paths = {
-        "densities": dest / "densities.csv",
         "fluxes": dest / "fluxes.csv",
         "coefficients": dest / "coefficients.csv",
         "summary": dest / "summary.json",
     }
 
-    with open(paths["densities"], "w", newline="") as fh:
-        fh.write("time,arc_id,cell,density,tracer\n")
-        for ti, t in enumerate(result.times):
-            time_txt = _fmt(t)
-            for k in order:
-                arc_id = result.arc_ids[k]
-                rho = result.density[ti, offsets[k] : offsets[k + 1]]
-                if result.tracer is not None:
-                    phi = result.tracer[ti, offsets[k] : offsets[k + 1]]
-                else:
-                    phi = np.full(rho.shape, TRACER_PLACEHOLDER)
-                for cell, (r, p) in enumerate(zip(rho, phi)):
-                    fh.write(f"{time_txt},{arc_id},{cell},{_fmt(r)},{_fmt(p)}\n")
+    if result.density is not None:
+        paths["densities"] = dest / "densities.csv"
+        offsets = np.concatenate(
+            [[0], np.cumsum([result.cells_per_arc[a] for a in result.arc_ids])]
+        )
+        with open(paths["densities"], "w", newline="") as fh:
+            fh.write("time,arc_id,cell,density,tracer\n")
+            for ti, t in enumerate(result.times):
+                time_txt = _fmt(t)
+                for k in order:
+                    arc_id = result.arc_ids[k]
+                    rho = result.density[ti, offsets[k] : offsets[k + 1]]
+                    if result.tracer is not None:
+                        phi = result.tracer[ti, offsets[k] : offsets[k + 1]]
+                    else:
+                        phi = np.full(rho.shape, TRACER_PLACEHOLDER)
+                    for cell, (r, p) in enumerate(zip(rho, phi)):
+                        fh.write(f"{time_txt},{arc_id},{cell},{_fmt(r)},{_fmt(p)}\n")
 
     with open(paths["fluxes"], "w", newline="") as fh:
         fh.write("time,arc_id,flux\n")

@@ -12,6 +12,7 @@ in docs/scenario.schema.json.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -274,33 +275,17 @@ def parse_scenario(text: str) -> tuple[Network, SimConfig]:
             )
         )
 
-    cfg_fields = w.take(
-        w.obj(top["config"], "config"),
-        "config",
-        {
-            "t_end": 100.0,
-            "cfl_number": 0.5,
-            "sample_interval": 0.25,
-            "equilibrium_window": 10.0,
-            "equilibrium_tol": 1e-3,
-            "coefficient_mode": "network",
-            "record_profiles": True,
-        },
-        required=(),
-    )
-    mode = w.string(cfg_fields["coefficient_mode"], "config.coefficient_mode", "network")
-    if mode not in ("network", "static"):
+    # every config field is optional; its SimConfig default fills in
+    defaults = dataclasses.asdict(SimConfig())
+    cfg_fields = w.take(w.obj(top["config"], "config"), "config", defaults, required=())
+    readers = {float: w.number, str: w.string, bool: w.boolean}
+    config_kwargs = {
+        name: readers[type(default)](cfg_fields[name], f"config.{name}", default)
+        for name, default in defaults.items()
+    }
+    if config_kwargs["coefficient_mode"] not in ("network", "static"):
         w.complain("config.coefficient_mode", "must be 'network' or 'static'")
-        mode = "network"
-    config_kwargs = dict(
-        t_end=w.number(cfg_fields["t_end"], "config.t_end", 100.0),
-        cfl_number=w.number(cfg_fields["cfl_number"], "config.cfl_number", 0.5),
-        sample_interval=w.number(cfg_fields["sample_interval"], "config.sample_interval", 0.25),
-        equilibrium_window=w.number(cfg_fields["equilibrium_window"], "config.equilibrium_window", 10.0),
-        equilibrium_tol=w.number(cfg_fields["equilibrium_tol"], "config.equilibrium_tol", 1e-3),
-        coefficient_mode=mode,
-        record_profiles=w.boolean(cfg_fields["record_profiles"], "config.record_profiles", True),
-    )
+        config_kwargs["coefficient_mode"] = defaults["coefficient_mode"]
 
     if w.errors:
         raise ScenarioSchemaError(w.errors)
@@ -335,15 +320,7 @@ def write_scenario(net: Network, config: SimConfig | None = None) -> str:
             {"arc": bc.arc_id, "rho_bar": bc.rho_bar, "tracer_in": bc.tracer_in}
             for bc in net.boundary_conditions
         ],
-        "config": {
-            "t_end": config.t_end,
-            "cfl_number": config.cfl_number,
-            "sample_interval": config.sample_interval,
-            "equilibrium_window": config.equilibrium_window,
-            "equilibrium_tol": config.equilibrium_tol,
-            "coefficient_mode": config.coefficient_mode,
-            "record_profiles": config.record_profiles,
-        },
+        "config": dataclasses.asdict(config),
     }
     for junc in net.junctions:
         entry = {

@@ -25,7 +25,7 @@ contribute to mixtures.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,10 +45,6 @@ __all__ = [
     "Simulator",
     "detect_equilibrium",
     "dynamic_exit_coefficients",
-    "init_state",
-    "stable_dt",
-    "step",
-    "run",
 ]
 
 # Cell mass below which the tracer is considered undefined.
@@ -150,6 +146,26 @@ class RunResult:
         return self.arc_fluxes[:, self.arc_ids.index(arc_id)]
 
 
+@dataclass
+class _JunctionGroup:
+    """Junctions of one (kind, n_in, n_out), stacked one per row.
+
+    The cell and interface arrays are (B, n_in) and (B, n_out); a
+    merge's incoming columns are in priority order.  split is the
+    current (B, n_out) routing of a diverge group, and dynamic lists the
+    (row, junction id) pairs whose split follows state.coefficients.
+    """
+
+    kind: str
+    junctions: list[Junction]
+    in_cell: np.ndarray
+    in_iface: np.ndarray
+    out_cell: np.ndarray
+    out_iface: np.ndarray
+    split: np.ndarray | None = None
+    dynamic: list[tuple[int, str]] = field(default_factory=list)
+
+
 def dynamic_exit_coefficients(
     junction: Junction,
     arriving_flux: float,
@@ -210,11 +226,12 @@ def detect_equilibrium(
 class Simulator:
     """Stepping engine bound to one validated network.
 
-    Construction flattens all arcs into one cell array and groups
-    junctions into vectorized degree classes; odd degrees fall back to
-    the allocation solver per junction.  Instances hold no per-run state
-    and may be shared across runs, but one SimState must only ever be
-    advanced by one thread at a time.
+    Construction flattens all arcs into one cell array and stacks
+    junctions of one (kind, n_in, n_out) into a group: diverge and merge
+    groups are solved in one batched closed-form call each, general
+    junctions one by one through junctions.solve.  Instances hold no
+    per-run state and may be shared across runs, but one SimState must
+    only ever be advanced by one thread at a time.
     """
 
     def __init__(self, net: Network, validate: bool = True):
@@ -292,98 +309,63 @@ class Simulator:
 
     def _build_junction_classes(self):
         idx = self._arc_index
-        c11, c12, c21, generic = [], [], [], []
+        members: dict[tuple[str, int, int], list] = {}
         self._diagnostics = []
         for junc in self.net.junctions:
-            n_in, n_out = len(junc.incoming), len(junc.outgoing)
             in_arcs = np.array([idx[a] for a in junc.incoming], dtype=np.intp)
             out_arcs = np.array([idx[a] for a in junc.outgoing], dtype=np.intp)
             self._diagnostics.append(
                 (junc.id, self.arc_last_iface[in_arcs], self.arc_first_iface[out_arcs])
             )
-            if n_in == 1 and n_out == 1:
-                c11.append((in_arcs[0], out_arcs[0]))
-            elif n_in == 1 and n_out == 2:
-                c12.append((junc, in_arcs[0], out_arcs))
-            elif n_in == 2 and n_out == 1 and np.all(junc.distribution == 1.0):
-                order = sorted(range(2), key=lambda i: (-junc.priority[i], i))
-                c21.append((in_arcs[order], out_arcs[0]))
-            else:
-                generic.append((junc, in_arcs, out_arcs))
+            kind = _junctions.classify(junc.distribution)
+            if kind == "merge":
+                in_arcs = in_arcs[_junctions.priority_order(junc.priority)]
+            key = (kind, in_arcs.size, out_arcs.size)
+            members.setdefault(key, []).append((junc, in_arcs, out_arcs))
 
-        def stack(rows, dtype=np.intp):
-            return np.array(rows, dtype=dtype).reshape(len(rows), -1)
+        self._groups: list[_JunctionGroup] = []
+        for (kind, _, _), rows in members.items():
+            juncs = [j for j, _, _ in rows]
+            ins = np.stack([i for _, i, _ in rows])
+            outs = np.stack([o for _, _, o in rows])
+            group = _JunctionGroup(
+                kind=kind,
+                junctions=juncs,
+                in_cell=self._arc_last_cell[ins],
+                in_iface=self.arc_last_iface[ins],
+                out_cell=self._arc_first_cell[outs],
+                out_iface=self.arc_first_iface[outs],
+            )
+            if kind == "diverge":
+                group.split = np.stack([j.distribution[:, 0] for j in juncs])
+                group.dynamic = [
+                    (row, j.id) for row, j in enumerate(juncs) if j.coefficient_mode == "dynamic"
+                ]
+            self._groups.append(group)
 
-        ins = np.array([i for i, _ in c11], dtype=np.intp)
-        outs = np.array([o for _, o in c11], dtype=np.intp)
-        self._c11 = {
-            "in_cell": self._arc_last_cell[ins],
-            "in_iface": self.arc_last_iface[ins],
-            "out_cell": self._arc_first_cell[outs],
-            "out_iface": self.arc_first_iface[outs],
-        }
+        # dynamic exits (one in, two out), flat: entry, exit and other outlet
+        dyn = [j for j in self.net.junctions if j.coefficient_mode == "dynamic"]
 
-        self._c12_junctions = [j for j, _, _ in c12]
-        ins = np.array([i for _, i, _ in c12], dtype=np.intp)
-        outs = stack([o for _, _, o in c12]) if c12 else np.zeros((0, 2), dtype=np.intp)
-        self._c12 = {
-            "in_cell": self._arc_last_cell[ins],
-            "in_iface": self.arc_last_iface[ins],
-            "out_cell": self._arc_first_cell[outs],
-            "out_iface": self.arc_first_iface[outs],
-            "A": np.stack([j.distribution[:, 0] for j, _, _ in c12])
-            if c12
-            else np.zeros((0, 2)),
-        }
-        dyn = [
-            (row, j)
-            for row, j in enumerate(self._c12_junctions)
-            if j.coefficient_mode == "dynamic"
+        def arcs(pick):
+            return np.array([idx[pick(j)] for j in dyn], dtype=np.intp)
+
+        entry = arcs(lambda j: j.incoming[0])
+        self._dyn_junctions = dyn
+        self._dyn_in_cell = self._arc_last_cell[entry]
+        self._dyn_in_iface = self.arc_last_iface[entry]
+        self._dyn_exit_iface = self.arc_first_iface[arcs(lambda j: j.exit_arc)]
+        self._dyn_other_iface = self.arc_first_iface[
+            arcs(lambda j: j.outgoing[1 - j.outgoing.index(j.exit_arc)])
         ]
-        self._dyn_rows = np.array([r for r, _ in dyn], dtype=np.intp)
-        self._dyn_junctions = [j for _, j in dyn]
-        self._dyn_exit_col = np.array(
-            [j.outgoing.index(j.exit_arc) for _, j in dyn], dtype=np.intp
-        )
-        self._dyn_exit_tracer = np.array([j.exit_tracer for _, j in dyn])
-
-        ins = stack([i for i, _ in c21]) if c21 else np.zeros((0, 2), dtype=np.intp)
-        outs = np.array([o for _, o in c21], dtype=np.intp)
-        self._c21 = {
-            "in_cell": self._arc_last_cell[ins],
-            "in_iface": self.arc_last_iface[ins],
-            "out_cell": self._arc_first_cell[outs],
-            "out_iface": self.arc_first_iface[outs],
-        }
-
-        self._generic = [
-            {
-                "junction": j,
-                "in_cell": self._arc_last_cell[in_arcs],
-                "in_iface": self.arc_last_iface[in_arcs],
-                "out_cell": self._arc_first_cell[out_arcs],
-                "out_iface": self.arc_first_iface[out_arcs],
-            }
-            for j, in_arcs, out_arcs in generic
-        ]
+        self._dyn_exit_tracer = np.array([j.exit_tracer for j in dyn])
 
     def _check_interface_cover(self):
         cover = np.zeros(self.total_ifaces, dtype=int)
-        np.add.at(cover, self._int_iface, 1)
-        for arr in (
-            self._src_iface,
-            self._snk_iface,
-            self._c11["in_iface"],
-            self._c11["out_iface"],
-            self._c12["in_iface"],
-            self._c12["out_iface"].ravel(),
-            self._c21["in_iface"].ravel(),
-            self._c21["out_iface"],
-        ):
+        for arr in (self._int_iface, self._src_iface, self._snk_iface):
             np.add.at(cover, arr, 1)
-        for entry in self._generic:
-            np.add.at(cover, entry["in_iface"], 1)
-            np.add.at(cover, entry["out_iface"], 1)
+        for g in self._groups:
+            np.add.at(cover, g.in_iface, 1)
+            np.add.at(cover, g.out_iface, 1)
         if not np.all(cover == 1):
             raise AssertionError("internal layout error: interface not covered exactly once")
 
@@ -436,44 +418,31 @@ class Simulator:
         F[self._src_iface] = np.minimum(self._src_cap, supply[self._src_cell])
         F[self._snk_iface] = demand[self._snk_cell]
 
-        c11 = self._c11
-        g11 = np.minimum(demand[c11["in_cell"]], supply[c11["out_cell"]])
-        F[c11["in_iface"]] = g11
-        F[c11["out_iface"]] = g11
-
-        c12 = self._c12
-        A = c12["A"]
-        if A.shape[0]:
-            for row, junc in zip(self._dyn_rows, self._dyn_junctions):
-                A[row] = state.coefficients[junc.id][:, 0]
-            with np.errstate(divide="ignore"):
-                limit = np.where(A > 0.0, supply[c12["out_cell"]] / np.where(A > 0.0, A, 1.0), np.inf)
-            g12 = np.minimum(demand[c12["in_cell"]], limit.min(axis=1))
-            F[c12["in_iface"]] = g12
-            F[c12["out_iface"]] = A * g12[:, None]
-
-        c21 = self._c21
-        if c21["out_iface"].size:
-            d = demand[c21["in_cell"]]
-            s = supply[c21["out_cell"]]
-            g_first = np.minimum(d[:, 0], s)
-            g_second = np.minimum(d[:, 1], s - g_first)
-            F[c21["in_iface"][:, 0]] = g_first
-            F[c21["in_iface"][:, 1]] = g_second
-            F[c21["out_iface"]] = g_first + g_second
-
-        for entry in self._generic:
-            junc = entry["junction"]
-            sol = _junctions.solve(
-                _junctions.JunctionProblem(
-                    demands=demand[entry["in_cell"]],
-                    supplies=supply[entry["out_cell"]],
-                    distribution=state.coefficients[junc.id],
-                    priority=junc.priority,
-                )
-            )
-            F[entry["in_iface"]] = sol.gamma_in
-            F[entry["out_iface"]] = sol.gamma_out
+        for g in self._groups:
+            d = demand[g.in_cell]
+            s = supply[g.out_cell]
+            if g.kind == "diverge":
+                for row, jid in g.dynamic:
+                    g.split[row] = state.coefficients[jid][:, 0]
+                gamma = _junctions.diverge(d[:, 0], s, g.split)
+                F[g.in_iface[:, 0]] = gamma
+                F[g.out_iface] = g.split * gamma[:, None]
+            elif g.kind == "merge":
+                gamma = _junctions.merge(d, s[:, 0])
+                F[g.in_iface] = gamma
+                F[g.out_iface[:, 0]] = gamma.sum(axis=1)
+            else:
+                for row, junc in enumerate(g.junctions):
+                    sol = _junctions.solve(
+                        _junctions.JunctionProblem(
+                            demands=d[row],
+                            supplies=s[row],
+                            distribution=state.coefficients[junc.id],
+                            priority=junc.priority,
+                        )
+                    )
+                    F[g.in_iface[row]] = sol.gamma_in
+                    F[g.out_iface[row]] = sol.gamma_out
 
         Fphi = self._tracer_fluxes(state, F) if state.phi is not None else None
         return FluxSnapshot(
@@ -496,46 +465,33 @@ class Simulator:
         Fphi[self._src_iface] = F[self._src_iface] * self._src_tracer
         Fphi[self._snk_iface] = F[self._snk_iface] * phi[self._snk_cell]
 
-        c11 = self._c11
-        through = F[c11["in_iface"]] * phi[c11["in_cell"]]
-        Fphi[c11["in_iface"]] = through
-        Fphi[c11["out_iface"]] = through
+        for g in self._groups:
+            per_in = F[g.in_iface] * phi[g.in_cell]
+            Fphi[g.in_iface] = per_in
+            if g.kind == "diverge":
+                # static splits mix; dynamic exits sort by destination below
+                Fphi[g.out_iface] = g.split * per_in
+            elif g.kind == "merge":
+                Fphi[g.out_iface[:, 0]] = per_in.sum(axis=1)
+            else:
+                for row, junc in enumerate(g.junctions):
+                    A = state.coefficients[junc.id]
+                    out_iface = g.out_iface[row]
+                    Fphi[out_iface] = np.minimum(A @ per_in[row], F[out_iface])
 
-        c12 = self._c12
-        if c12["A"].shape[0]:
-            marked = F[c12["in_iface"]] * phi[c12["in_cell"]]
-            Fphi[c12["in_iface"]] = marked
-            # static splits mix; dynamic exits sort by destination below
-            Fphi[c12["out_iface"]] = c12["A"] * marked[:, None]
-            if self._dyn_rows.size:
-                rows = self._dyn_rows
-                exit_col = self._dyn_exit_col
-                exit_iface = c12["out_iface"][rows, exit_col]
-                other_iface = c12["out_iface"][rows, 1 - exit_col]
-                m = marked[rows]
-                bulk_exit = F[exit_iface]
-                unmarked = F[c12["in_iface"]][rows] - m
-                takes_marked = self._dyn_exit_tracer == 1.0
-                to_exit = np.where(
-                    takes_marked,
-                    np.minimum(m, bulk_exit),
-                    np.maximum(bulk_exit - np.minimum(unmarked, bulk_exit), 0.0),
-                )
-                to_exit = np.minimum(to_exit, m)
-                Fphi[exit_iface] = to_exit
-                Fphi[other_iface] = np.minimum(m - to_exit, F[other_iface])
-
-        c21 = self._c21
-        if c21["out_iface"].size:
-            per_in = F[c21["in_iface"]] * phi[c21["in_cell"]]
-            Fphi[c21["in_iface"]] = per_in
-            Fphi[c21["out_iface"]] = per_in.sum(axis=1)
-
-        for entry in self._generic:
-            per_in = F[entry["in_iface"]] * phi[entry["in_cell"]]
-            Fphi[entry["in_iface"]] = per_in
-            A = state.coefficients[entry["junction"].id]
-            Fphi[entry["out_iface"]] = np.minimum(A @ per_in, F[entry["out_iface"]])
+        if self._dyn_junctions:
+            m = F[self._dyn_in_iface] * phi[self._dyn_in_cell]
+            bulk_exit = F[self._dyn_exit_iface]
+            unmarked = F[self._dyn_in_iface] - m
+            takes_marked = self._dyn_exit_tracer == 1.0
+            to_exit = np.where(
+                takes_marked,
+                np.minimum(m, bulk_exit),
+                np.maximum(bulk_exit - np.minimum(unmarked, bulk_exit), 0.0),
+            )
+            to_exit = np.minimum(to_exit, m)
+            Fphi[self._dyn_exit_iface] = to_exit
+            Fphi[self._dyn_other_iface] = np.minimum(m - to_exit, F[self._dyn_other_iface])
         return Fphi
 
     # -- phase 2 -----------------------------------------------------------
@@ -593,15 +549,27 @@ class Simulator:
 
     def _update_dynamic_coefficients(self, state: SimState, snap: FluxSnapshot, donor_phi: np.ndarray):
         """Refresh exit splits from the composition that arrived this step."""
-        c12 = self._c12
-        for k, (row, junc) in enumerate(zip(self._dyn_rows, self._dyn_junctions)):
-            gamma = snap.fluxes[c12["in_iface"][row]]
-            if gamma < EPS_FLUX:
+        arriving = snap.fluxes[self._dyn_in_iface]
+        for k, junc in enumerate(self._dyn_junctions):
+            if arriving[k] < EPS_FLUX:
                 continue
             column = dynamic_exit_coefficients(
-                junc, gamma, donor_phi[k], state.coefficients[junc.id][:, 0]
+                junc, arriving[k], donor_phi[k], state.coefficients[junc.id][:, 0]
             )
             state.coefficients[junc.id] = column.reshape(2, 1)
+
+    def _advance(self, state: SimState, snap: FluxSnapshot, dt: float, update_coefficients: bool):
+        """Phase 2 in place: apply snap, then refresh the dynamic exit splits.
+
+        The splits follow the tracer the donor cells held before the
+        update, which is what crossed the exit interfaces this step.
+        """
+        donor = None
+        if update_coefficients and state.phi is not None:
+            donor = np.clip(state.phi[self._dyn_in_cell], 0.0, 1.0)
+        self.apply(state, snap, dt, inplace=True)
+        if donor is not None:
+            self._update_dynamic_coefficients(state, snap, donor)
 
     def step(self, state: SimState, dt: float, update_coefficients: bool = True) -> SimState:
         """One two-phase step; returns a new state.
@@ -615,14 +583,8 @@ class Simulator:
                 f"dt={dt:.6g} violates the CFL bound {self.stable_dt(1.0):.6g}"
             )
         snap = self.compute_fluxes(state)
-        donor = (
-            np.clip(state.phi[self._c12["in_cell"][self._dyn_rows]], 0.0, 1.0)
-            if state.phi is not None and self._dyn_rows.size
-            else np.zeros(0)
-        )
-        new = self.apply(state, snap, dt, inplace=False)
-        if update_coefficients:
-            self._update_dynamic_coefficients(new, snap, donor)
+        new = state.copy()
+        self._advance(new, snap, dt, update_coefficients)
         return new
 
     # -- diagnostics ---------------------------------------------------------
@@ -645,7 +607,7 @@ class Simulator:
         """March to t_end, sampling states, fluxes, splits on the way."""
         dt = self.stable_dt(config.cfl_number)
         state = self.init_state()
-        update = self.tracer_enabled and config.coefficient_mode != "static"
+        update = config.coefficient_mode != "static"
 
         times: list[float] = []
         flux_rows: list[np.ndarray] = []
@@ -681,17 +643,11 @@ class Simulator:
                     record(snap)  # t_end that falls off the sampling grid
                 break
             step_dt = min(dt, remaining)
-            donor = (
-                np.clip(state.phi[self._c12["in_cell"][self._dyn_rows]], 0.0, 1.0)
-                if state.phi is not None and self._dyn_rows.size
-                else np.zeros(0)
-            )
-            self.apply(state, snap, step_dt, inplace=True)
+            self._advance(state, snap, step_dt, update)
             if update:
-                self._update_dynamic_coefficients(state, snap, donor)
-                for row, junc in zip(self._dyn_rows, self._dyn_junctions):
+                for k, junc in enumerate(self._dyn_junctions):
                     if junc.id not in first_arrival and (
-                        snap.fluxes[self._c12["in_iface"][row]] >= EPS_FLUX
+                        snap.fluxes[self._dyn_in_iface[k]] >= EPS_FLUX
                     ):
                         first_arrival[junc.id] = (
                             state.time,
@@ -744,21 +700,3 @@ class Simulator:
             summary=summary,
         )
 
-
-def init_state(net: Network) -> SimState:
-    return Simulator(net).init_state()
-
-
-def stable_dt(net: Network, state: SimState | None = None, cfl_number: float = 0.5) -> float:
-    """CFL-stable step for the network; state does not affect the bound."""
-    del state
-    return Simulator(net).stable_dt(cfl_number)
-
-
-def step(net: Network, state: SimState, dt: float) -> SimState:
-    """Convenience one-shot step; builds the engine each call."""
-    return Simulator(net).step(state, dt)
-
-
-def run(net: Network, config: SimConfig) -> RunResult:
-    return Simulator(net).run(config)

@@ -52,6 +52,19 @@ def test_run_writes_artifacts(scenario_file, tmp_path, capsys):
     assert "mass balance residual" in capsys.readouterr().out
 
 
+def test_run_without_profiles_skips_densities(scenario_file, tmp_path, capsys):
+    data = json.loads(scenario_file.read_text())
+    data["config"]["record_profiles"] = False
+    scenario = tmp_path / "no_profiles.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_OK
+    assert not (out / "densities.csv").exists()
+    for name in ("fluxes.csv", "coefficients.csv", "summary.json"):
+        assert (out / name).exists()
+    assert "densities" not in capsys.readouterr().out
+
+
 def test_roundabout_command(tmp_path, capsys):
     out = tmp_path / "round"
     code = main(

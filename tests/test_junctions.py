@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from tagflow.junctions import JunctionProblem, JunctionFluxSolution, brute_force_solve, solve
+from tagflow.junctions import (
+    JunctionFluxSolution,
+    JunctionProblem,
+    brute_force_solve,
+    classify,
+    diverge,
+    merge,
+    solve,
+)
 
 from helpers import random_junction_problem
 
@@ -142,3 +150,33 @@ def test_objective_monotone_in_supply():
 def test_solution_objective_property():
     sol = JunctionFluxSolution(np.array([0.1, 0.2]), np.array([0.3]))
     assert sol.objective == pytest.approx(0.3)
+
+
+def test_classify_kinds_and_merge_tolerance():
+    assert classify(np.array([[1.0]])) == "diverge"
+    assert classify(np.array([[0.3], [0.7]])) == "diverge"
+    assert classify(np.array([[1.0, 1.0]])) == "merge"
+    # a row Network.validate accepts (within 1e-9 of one) is still a merge
+    assert classify(np.array([[1.0 - 5e-10, 1.0 - 5e-10]])) == "merge"
+    assert classify(np.array([[1.0 - 2e-9, 1.0]])) == "general"
+    assert classify(np.array([[0.5, 0.5], [0.5, 0.5]])) == "general"
+
+
+def test_batched_kernels_match_scalar_loops():
+    rng = np.random.default_rng(3)
+    demands = rng.uniform(0.0, 0.25, (20, 3))
+    supplies = rng.uniform(0.0, 0.3, (20, 3))
+    split = rng.uniform(0.0, 1.0, (20, 3))
+    split[rng.random((20, 3)) < 0.2] = 0.0
+    split[:, 0] += 0.1
+    split /= split.sum(axis=1, keepdims=True)
+    admitted = diverge(demands[:, 0], supplies, split)
+    waterfilled = merge(demands, supplies[:, 0])
+    for b in range(20):
+        caps = [supplies[b, j] / split[b, j] for j in range(3) if split[b, j] > 0.0]
+        assert admitted[b] == min([demands[b, 0]] + caps)
+        remaining = supplies[b, 0]
+        for i in range(3):
+            granted = min(demands[b, i], max(remaining, 0.0))
+            assert waterfilled[b, i] == granted
+            remaining -= granted

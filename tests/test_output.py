@@ -84,11 +84,14 @@ def test_summary_contains_run_figures(short_run, tmp_path):
     assert "first_arrival_coefficients" in summary
 
 
-def test_profile_free_run_is_rejected(tmp_path):
+def test_profile_free_run_writes_all_but_densities(tmp_path):
     net = single_arc_network(FluxModel(), 5, 0.1)
     res = Simulator(net).run(SimConfig(t_end=1.0, record_profiles=False))
-    with pytest.raises(ValueError):
-        write_timeseries(res, tmp_path)
+    paths = write_timeseries(res, tmp_path)
+    assert sorted(paths) == ["coefficients", "fluxes", "summary"]
+    assert not (tmp_path / "densities.csv").exists()
+    assert len(paths["fluxes"].read_text().splitlines()) == 1 + len(res.times)
+    assert paths["summary"].exists()
 
 
 def test_static_network_tracer_column_is_placeholder(tmp_path):

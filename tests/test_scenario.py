@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,8 +114,6 @@ def test_config_domain_errors_are_schema_errors(roundabout_text):
 
 
 def test_bundled_roundabout_scenario_parses():
-    from pathlib import Path
-
     bundled = Path(__file__).parent.parent / "demos" / "roundabout.json"
     net, config = parse_scenario(bundled.read_text())
     assert len(net.arcs) == 8
@@ -133,3 +133,10 @@ def test_minimal_scenario_defaults():
     assert net.arcs[0].kind == "generic"
     assert config.cfl_number == 0.5
     assert net.validate() == []
+
+
+def test_schema_config_defaults_match_simconfig():
+    schema = json.loads((Path(__file__).parent.parent / "docs" / "scenario.schema.json").read_text())
+    properties = schema["properties"]["config"]["properties"]
+    documented = {name: spec["default"] for name, spec in properties.items()}
+    assert documented == dataclasses.asdict(SimConfig())

@@ -20,10 +20,6 @@ from tagflow.simulate import (
     Simulator,
     detect_equilibrium,
     dynamic_exit_coefficients,
-    init_state,
-    run,
-    stable_dt,
-    step,
 )
 
 from helpers import random_network, riemann_l1_error, single_arc_network
@@ -53,7 +49,7 @@ def test_init_state_empty_with_first_arrival_splits():
 
 def test_init_state_skips_tracer_on_static_networks():
     rng = np.random.default_rng(0)
-    state = init_state(random_network(rng))
+    state = Simulator(random_network(rng)).init_state()
     assert state.phi is None
 
 
@@ -66,8 +62,10 @@ def test_stable_dt_formula():
     assert halved.stable_dt(0.5) == pytest.approx(0.005, abs=1e-15)
     with pytest.raises(ValueError):
         sim.stable_dt(0.0)
-    # module-level wrapper, state independent
-    assert stable_dt(net, None, 0.5) == pytest.approx(0.01, abs=1e-15)
+    # the bound holds whatever the state: a full jam steps at cfl 1
+    jam = sim.init_state()
+    jam.rho[:] = UNIT.rho_max
+    assert sim.step(jam, sim.stable_dt(1.0)).rho.max() <= UNIT.rho_max
 
 
 def test_step_rejects_cfl_violation():
@@ -369,21 +367,35 @@ def test_detect_equilibrium_rejects_empty():
         detect_equilibrium(np.array([0.0]), np.zeros((1, 2)), 0.0, 1e-3)
 
 
-def test_module_level_wrappers_round_trip():
-    net = single_arc_network(UNIT, 20, 0.2)
-    state = init_state(net)
-    out = step(net, state, stable_dt(net, state, 0.5))
-    assert out.time > 0.0
-    res = run(net, SimConfig(t_end=2.0, sample_interval=0.5))
-    assert res.times[-1] == pytest.approx(2.0, abs=1e-9)
-
-
 def test_run_samples_are_regular_and_complete():
     net = single_arc_network(UNIT, 20, 0.2)
-    res = run(net, SimConfig(t_end=3.0, sample_interval=1.0))
+    res = Simulator(net).run(SimConfig(t_end=3.0, sample_interval=1.0))
     np.testing.assert_allclose(res.times, [0.0, 1.0, 2.0, 3.0], atol=1e-6)
     assert res.density is not None
     assert res.density.shape == (4, 20)
+
+
+def test_merge_within_column_tolerance_skips_the_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a merge must not reach the junction LP")
+
+    monkeypatch.setattr("tagflow.junctions.linprog", no_lp)
+    net = Network(
+        model=UNIT,
+        arcs=[
+            Arc("A", 0.0, 1.0, 5, "external_in"),
+            Arc("B", 0.0, 1.0, 5, "external_in"),
+            Arc("C", 0.0, 1.0, 5, "external_out"),
+        ],
+        junctions=[Junction("J", ["A", "B"], ["C"], [[1.0 - 5e-10, 1.0 - 5e-10]])],
+        boundary_conditions=[BoundaryCondition("A", 0.3), BoundaryCondition("B", 0.3)],
+    )
+    assert net.validate() == []
+    sim = Simulator(net)
+    state = sim.init_state()
+    for _ in range(10):
+        state = sim.step(state, sim.stable_dt(0.5))
+    assert sim.total_mass(state) > 0.0
 
 
 def test_invariant_breach_fails_loudly():

@@ -12,6 +12,7 @@ import math
 import sys
 
 from .bench import run_bench
+from .junctions import JunctionLPError
 from .network import build_roundabout
 from .output import write_timeseries
 from .scenario import ScenarioError, parse_scenario, write_scenario
@@ -100,7 +101,7 @@ def _report_run(result) -> None:
 def _run_and_write(net, config, out_dir: str) -> int:
     try:
         result = Simulator(net).run(config)
-    except SimulationError as exc:
+    except (SimulationError, JunctionLPError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_FAILURE
     try:

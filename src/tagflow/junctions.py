@@ -10,14 +10,21 @@ Two junction kinds have closed forms (Coclite, Garavello & Piccoli,
 SIAM J. Math. Anal. 36, 2005): a diverge (one incoming arc) admits the
 largest flux every routed share fits, and a merge (one outgoing arc
 taking every incoming arc whole) waterfills the shared supply in
-priority order.  classify names a junction's kind; diverge and merge
-solve a whole batch of one kind at once, and the simulator calls them
-on stacked junctions.  Anything else is "general" and goes through an
-LP with a lexicographic refinement pass for the priority selection.
+priority order.  Anything else is "general": its feasible set is a
+polytope of dimension n_in, so the right-of-way winner is one of its
+vertices, and general enumerates them all (Garavello & Piccoli,
+Traffic Flow on Networks, AIMS 2006).  classify names a junction's
+kind; diverge, merge and general each solve a whole batch of one kind
+and shape at once, and the simulator calls them on stacked junctions.
+Only general junctions with more than three incoming arcs still go
+through an LP, one junction at a time, with a lexicographic refinement
+pass for the priority selection.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,18 +35,32 @@ from .network import _COLUMN_TOL
 __all__ = [
     "JunctionProblem",
     "JunctionFluxSolution",
+    "JunctionLPError",
     "classify",
     "diverge",
+    "general",
     "merge",
     "priority_order",
     "solve",
     "brute_force_solve",
 ]
 
-# Slack when testing feasibility of grid points against supplies.
+# Slack when testing grid points and vertices for feasibility.
 _FEAS_TOL = 1e-12
-# Objective slack separating "near-optimal" ties in the brute-force search.
+# Slack separating ties: of the objective in the brute-force search, of
+# each arc's grant in the right-of-way pass of general.
 _TIE_TOL = 1e-9
+# Largest in-degree whose vertices general enumerates; beyond it, the LP.
+_VERTEX_MAX_IN = 3
+# Throughput a general junction may give up, relative to max(1, best
+# total), for a better right-of-way outcome.
+_TOTAL_SLACK = 1e-8
+# |det| below which a choice of active constraints meets in no vertex.
+_SINGULAR_TOL = 1e-12
+
+
+class JunctionLPError(RuntimeError):
+    """The LP for a general junction with many incoming arcs failed."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +177,79 @@ def merge(demands: np.ndarray, supplies: np.ndarray) -> np.ndarray:
     return gamma
 
 
+@functools.cache
+def _vertex_rows(n_in: int, n_out: int) -> np.ndarray:
+    """(K, n_in) choices of n_in active rows of the stacked constraints.
+
+    The rows are [-I; I; A] against [0; d; s], one candidate vertex per
+    choice.  A choice holding both bounds of one arc is singular
+    whatever A is, so it is left out here rather than masked per call.
+    """
+    rows = [
+        chosen
+        for chosen in itertools.combinations(range(2 * n_in + n_out), n_in)
+        if not any(i in chosen and i + n_in in chosen for i in range(n_in))
+    ]
+    table = np.array(rows, dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+def general(demands: np.ndarray, supplies: np.ndarray, distribution: np.ndarray) -> np.ndarray:
+    """Admitted flux (B, n_in) of B general junctions of one shape.
+
+    demands (B, n_in) are in priority order, supplies are (B, n_out)
+    and distribution is (B, n_out, n_in) with its columns in the same
+    order.  Every vertex of {0 <= gamma <= d, A gamma <= s} is solved
+    for at once; among the feasible ones within the LP's relaxed-total
+    slack of the best total, each incoming arc in turn keeps only the
+    vertices that grant it the most.  The origin is always a feasible
+    vertex, so some vertex always wins.  Junctions with more than three
+    incoming arcs are solved one by one through the LP instead.
+    """
+    n_batch, n_in = demands.shape
+    n_out = supplies.shape[1]
+    if n_in > _VERTEX_MAX_IN:
+        descending = np.arange(n_in, 0, -1, dtype=float)
+        return np.stack(
+            [
+                _lp_solve(JunctionProblem(d, s, a, descending)).gamma_in
+                for d, s, a in zip(demands, supplies, distribution)
+            ]
+        )
+
+    rows = _vertex_rows(n_in, n_out)
+    eye = np.broadcast_to(np.eye(n_in), (n_batch, n_in, n_in))
+    lhs = np.concatenate([-eye, eye, distribution], axis=1)[:, rows]
+    rhs = np.concatenate([np.zeros_like(demands), demands, supplies], axis=1)[:, rows]
+    regular = np.abs(np.linalg.det(lhs)) > _SINGULAR_TOL
+    lhs[~regular] = np.eye(n_in)
+    vertex = np.linalg.solve(lhs, rhs[..., None])[..., 0]  # (B, K, n_in)
+
+    # sums are spelled out term by term so that a junction's answer
+    # does not depend on the batch it is solved in
+    feasible = regular & np.all(
+        (vertex >= -_FEAS_TOL) & (vertex <= demands[:, None, :] + _FEAS_TOL), axis=2
+    )
+    total = vertex[:, :, 0].copy()
+    for i in range(1, n_in):
+        total += vertex[:, :, i]
+    for j in range(n_out):
+        load = distribution[:, None, j, 0] * vertex[:, :, 0]
+        for i in range(1, n_in):
+            load += distribution[:, None, j, i] * vertex[:, :, i]
+        feasible &= load <= supplies[:, None, j] + _FEAS_TOL
+
+    total[~feasible] = -np.inf
+    best = total.max(axis=1, keepdims=True)
+    keep = total >= best - _TOTAL_SLACK * np.maximum(1.0, best)
+    for i in range(n_in):
+        granted = np.where(keep, vertex[:, :, i], -np.inf)
+        keep &= granted >= granted.max(axis=1, keepdims=True) - _TIE_TOL
+    winner = vertex[np.arange(n_batch), np.argmax(keep, axis=1)]
+    return np.clip(winner, 0.0, demands)
+
+
 def solve(p: JunctionProblem) -> JunctionFluxSolution:
     """Optimal junction allocation with priority tie-breaking.
 
@@ -167,12 +261,15 @@ def solve(p: JunctionProblem) -> JunctionFluxSolution:
     kind = classify(p.distribution)
     if kind == "diverge":
         gamma = diverge(p.demands, p.supplies[None, :], p.distribution.T)
-    elif kind == "merge":
-        order = priority_order(p.priority)
-        gamma = np.empty(p.n_in)
-        gamma[order] = merge(p.demands[None, order], p.supplies)[0]
     else:
-        return _lp_solve(p)
+        order = priority_order(p.priority)
+        ranked = p.demands[None, order]
+        gamma = np.empty(p.n_in)
+        if kind == "merge":
+            gamma[order] = merge(ranked, p.supplies)[0]
+        else:
+            routing = p.distribution[None][:, :, order]
+            gamma[order] = general(ranked, p.supplies[None, :], routing)[0]
     return _finish(p, gamma)
 
 
@@ -193,10 +290,10 @@ def _lp_solve(p: JunctionProblem) -> JunctionFluxSolution:
         options=_LP_OPTIONS,
     )
     if not res.success:
-        raise RuntimeError(f"junction LP failed: {res.message}")
+        raise JunctionLPError(f"junction LP failed: {res.message}")
     best_total = -res.fun
 
-    slack = 1e-8 * max(1.0, best_total)
+    slack = _TOTAL_SLACK * max(1.0, best_total)
     total_row = -np.ones((1, p.n_in))  # total >= best_total - slack
     a_ub = np.vstack([p.distribution, total_row])
     b_ub = np.concatenate([p.supplies, [-(best_total - slack)]])
@@ -206,7 +303,7 @@ def _lp_solve(p: JunctionProblem) -> JunctionFluxSolution:
         c[i] = -1.0
         res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=_LP_OPTIONS)
         if not res.success:
-            raise RuntimeError(f"junction LP refinement failed: {res.message}")
+            raise JunctionLPError(f"junction LP refinement failed: {res.message}")
         gamma = res.x
         # pin as a slightly relaxed lower bound; an exact pin can render
         # the next stage infeasible at solver precision

@@ -150,20 +150,23 @@ class RunResult:
 class _JunctionGroup:
     """Junctions of one (kind, n_in, n_out), stacked one per row.
 
-    The cell and interface arrays are (B, n_in) and (B, n_out); a
-    merge's incoming columns are in priority order.  split is the
-    current (B, n_out) routing of a diverge group, and dynamic lists the
-    (row, junction id) pairs whose split follows state.coefficients.
+    The cell and interface arrays are (B, n_in) and (B, n_out), with
+    incoming columns in priority order.  split is the current (B, n_out)
+    routing of a diverge group, and dynamic lists the (row, junction id)
+    pairs whose split follows state.coefficients.  distribution is the
+    (B, n_out, n_in) routing of a general group, its columns in the same
+    priority order; general junctions are static, as only diverges may
+    be dynamic.
     """
 
     kind: str
-    junctions: list[Junction]
     in_cell: np.ndarray
     in_iface: np.ndarray
     out_cell: np.ndarray
     out_iface: np.ndarray
     split: np.ndarray | None = None
     dynamic: list[tuple[int, str]] = field(default_factory=list)
+    distribution: np.ndarray | None = None
 
 
 def dynamic_exit_coefficients(
@@ -227,11 +230,13 @@ class Simulator:
     """Stepping engine bound to one validated network.
 
     Construction flattens all arcs into one cell array and stacks
-    junctions of one (kind, n_in, n_out) into a group: diverge and merge
-    groups are solved in one batched closed-form call each, general
-    junctions one by one through junctions.solve.  Instances hold no
-    per-run state and may be shared across runs, but one SimState must
-    only ever be advanced by one thread at a time.
+    junctions of one (kind, n_in, n_out) into a group, and each group is
+    solved in one batched call per step: junctions.diverge and
+    junctions.merge in closed form, junctions.general by enumerating
+    vertices (or, past three incoming arcs, through its LP fallback one
+    junction at a time).  Instances hold no per-run state and may be
+    shared across runs, but one SimState must only ever be advanced by
+    one thread at a time.
     """
 
     def __init__(self, net: Network, validate: bool = True):
@@ -318,7 +323,7 @@ class Simulator:
                 (junc.id, self.arc_last_iface[in_arcs], self.arc_first_iface[out_arcs])
             )
             kind = _junctions.classify(junc.distribution)
-            if kind == "merge":
+            if kind != "diverge":
                 in_arcs = in_arcs[_junctions.priority_order(junc.priority)]
             key = (kind, in_arcs.size, out_arcs.size)
             members.setdefault(key, []).append((junc, in_arcs, out_arcs))
@@ -330,7 +335,6 @@ class Simulator:
             outs = np.stack([o for _, _, o in rows])
             group = _JunctionGroup(
                 kind=kind,
-                junctions=juncs,
                 in_cell=self._arc_last_cell[ins],
                 in_iface=self.arc_last_iface[ins],
                 out_cell=self._arc_first_cell[outs],
@@ -341,6 +345,10 @@ class Simulator:
                 group.dynamic = [
                     (row, j.id) for row, j in enumerate(juncs) if j.coefficient_mode == "dynamic"
                 ]
+            elif kind == "general":
+                group.distribution = np.stack(
+                    [j.distribution[:, _junctions.priority_order(j.priority)] for j in juncs]
+                )
             self._groups.append(group)
 
         # dynamic exits (one in, two out), flat: entry, exit and other outlet
@@ -432,17 +440,9 @@ class Simulator:
                 F[g.in_iface] = gamma
                 F[g.out_iface[:, 0]] = gamma.sum(axis=1)
             else:
-                for row, junc in enumerate(g.junctions):
-                    sol = _junctions.solve(
-                        _junctions.JunctionProblem(
-                            demands=d[row],
-                            supplies=s[row],
-                            distribution=state.coefficients[junc.id],
-                            priority=junc.priority,
-                        )
-                    )
-                    F[g.in_iface[row]] = sol.gamma_in
-                    F[g.out_iface[row]] = sol.gamma_out
+                gamma = _junctions.general(d, s, g.distribution)
+                F[g.in_iface] = gamma
+                F[g.out_iface] = np.einsum("bji,bi->bj", g.distribution, gamma)
 
         Fphi = self._tracer_fluxes(state, F) if state.phi is not None else None
         return FluxSnapshot(
@@ -474,10 +474,9 @@ class Simulator:
             elif g.kind == "merge":
                 Fphi[g.out_iface[:, 0]] = per_in.sum(axis=1)
             else:
-                for row, junc in enumerate(g.junctions):
-                    A = state.coefficients[junc.id]
-                    out_iface = g.out_iface[row]
-                    Fphi[out_iface] = np.minimum(A @ per_in[row], F[out_iface])
+                Fphi[g.out_iface] = np.minimum(
+                    np.einsum("bji,bi->bj", g.distribution, per_in), F[g.out_iface]
+                )
 
         if self._dyn_junctions:
             m = F[self._dyn_in_iface] * phi[self._dyn_in_cell]

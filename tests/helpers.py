@@ -116,7 +116,9 @@ def random_network(rng: np.random.Generator, model: FluxModel | None = None) -> 
     for li in range(len(layers) - 1):
         nxt = layer_junctions[li + 1]
         for jid in layer_junctions[li]:
-            targets = {nxt[int(rng.integers(0, len(nxt)))] for _ in range(2)}
+            # an insertion-ordered dedupe: a set would iterate in
+            # PYTHONHASHSEED order and change the topology per process
+            targets = dict.fromkeys(nxt[int(rng.integers(0, len(nxt)))] for _ in range(2))
             for tgt in targets:
                 arc_id = add_arc("generic")
                 outgoing[jid].append(arc_id)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from tagflow.cli import EXIT_INVALID_INPUT, EXIT_OK, EXIT_RUNTIME_FAILURE, main
-from tagflow.network import build_roundabout
+from tagflow.flux import FluxModel
+from tagflow.network import Arc, BoundaryCondition, Junction, Network, build_roundabout
 from tagflow.scenario import write_scenario
 from tagflow.simulate import SimConfig
 
@@ -105,6 +106,34 @@ def test_run_unwritable_destination_is_runtime_failure(scenario_file, tmp_path, 
     code = main(["run", str(scenario_file), "--out", str(occupied)])
     assert code == EXIT_RUNTIME_FAILURE
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_failed_junction_lp_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    # four incoming arcs are past the vertex solver, so this junction
+    # still goes through the LP, which is made to fail here
+    class Failed:
+        success = False
+        message = "stand-in failure"
+
+    monkeypatch.setattr("tagflow.junctions.linprog", lambda *args, **kwargs: Failed())
+    ins = [f"I{k}" for k in range(4)]
+    net = Network(
+        model=FluxModel(),
+        arcs=[Arc(a, 0.0, 1.0, 4, "external_in") for a in ins]
+        + [Arc(b, 0.0, 1.0, 4, "external_out") for b in ("O0", "O1")],
+        junctions=[
+            Junction("J", ins, ["O0", "O1"], [[0.5, 0.25, 0.75, 1.0], [0.5, 0.75, 0.25, 0.0]])
+        ],
+        boundary_conditions=[BoundaryCondition(a, 0.2) for a in ins],
+    )
+    scenario = tmp_path / "four_in.json"
+    scenario.write_text(write_scenario(net, SimConfig(t_end=1.0, sample_interval=0.5)))
+    code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == EXIT_RUNTIME_FAILURE
+    err = capsys.readouterr().err
+    assert "junction LP failed: stand-in failure" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_bench_command_reports(capsys):

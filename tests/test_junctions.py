@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tagflow.junctions import (
     JunctionFluxSolution,
     JunctionProblem,
+    _lp_solve,
     brute_force_solve,
     classify,
     diverge,
+    general,
     merge,
+    priority_order,
     solve,
 )
 
@@ -180,3 +185,85 @@ def test_batched_kernels_match_scalar_loops():
             granted = min(demands[b, i], max(remaining, 0.0))
             assert waterfilled[b, i] == granted
             remaining -= granted
+
+
+@pytest.mark.parametrize(
+    "priority, expected",
+    [([0.6, 0.4], [0.125, 0.125]), ([0.4, 0.6], [0.0, 0.25]), ([0.5, 0.5], [0.125, 0.125])],
+)
+def test_general_two_by_two_scarce_supply_goes_by_right_of_way(priority, expected):
+    # both arcs split evenly, so outlet 0 caps the total at 0.25; the
+    # arc with right of way takes what it demands, the other the rest
+    p = make([0.125, 0.25], [0.125, 0.375], [[0.5, 0.5], [0.5, 0.5]], priority)
+    assert classify(p.distribution) == "general"
+    np.testing.assert_array_equal(solve(p).gamma_in, expected)
+
+
+def test_general_two_by_two_throughput_overrides_right_of_way():
+    # outlet 0 takes all of arc 0 but half of arc 1, so every unit of
+    # arc 0 displaces two of arc 1: the maximum starves arc 0 even
+    # though it has right of way
+    p = make([0.25, 0.25], [0.125, 0.375], [[1.0, 0.5], [0.0, 0.5]], [0.9, 0.1])
+    np.testing.assert_array_equal(solve(p).gamma_in, [0.0, 0.25])
+
+
+def test_general_two_by_two_vertex_of_both_supplies():
+    # the only maximizer is where both supply caps bind
+    for priority in ([0.9, 0.1], [0.1, 0.9]):
+        p = make([0.25, 0.375], [0.125, 0.25], [[0.5, 0.25], [0.5, 0.75]], priority)
+        np.testing.assert_array_equal(solve(p).gamma_in, [0.125, 0.25])
+
+
+def _general_batch(rng, n_in, n_out, size):
+    """size random general problems of one shape.
+
+    A tenth of the demands and supplies and about a quarter of the
+    routing entries are zero (each column keeps one nonzero entry and
+    sums to one), and priorities take two values, so ties are common.
+    """
+    demands = rng.uniform(0.0, 0.25, (size, n_in))
+    demands[rng.random(demands.shape) < 0.1] = 0.0
+    supplies = rng.uniform(0.0, 0.3, (size, n_out))
+    supplies[rng.random(supplies.shape) < 0.1] = 0.0
+    distribution = rng.uniform(0.1, 1.0, (size, n_out, n_in))
+    zero = rng.random(distribution.shape) < 0.25
+    kept = rng.integers(0, n_out, (size, n_in))
+    zero[np.arange(size)[:, None], kept, np.arange(n_in)] = False
+    distribution[zero] = 0.0
+    distribution /= distribution.sum(axis=1, keepdims=True)
+    priority = rng.integers(1, 3, (size, n_in)).astype(float)
+    return demands, supplies, distribution, priority
+
+
+# _lp_solve pins each settled arc 1e-9 below its value before the next
+# stage, so its answer may sit that far, plus rounding, from the vertex
+_LP_PIN = 1e-9 + 1e-15
+
+
+def test_general_kernel_against_the_lp():
+    rng = np.random.default_rng(31)
+    for n_in, n_out in itertools.product((2, 3), (2, 3)):
+        demands, supplies, distribution, priority = _general_batch(rng, n_in, n_out, 2500)
+        order = np.array([priority_order(p) for p in priority])
+        rows = np.arange(len(order))[:, None]
+        ranked_d = demands[rows, order]
+        ranked_a = np.take_along_axis(distribution, order[:, None, :], axis=2)
+        ranked = general(ranked_d, supplies, ranked_a)
+        gamma = np.empty_like(ranked)
+        gamma[rows, order] = ranked
+
+        assert np.all(gamma >= 0.0) and np.all(gamma <= demands)
+        assert np.all(np.einsum("bji,bi->bj", distribution, gamma) <= supplies + 1e-12)
+        for b in range(len(gamma)):
+            shape = f"{n_in}x{n_out} problem {b}"
+            alone = general(ranked_d[b : b + 1], supplies[b : b + 1], ranked_a[b : b + 1])
+            assert np.array_equal(alone[0], ranked[b]), shape
+            lp = _lp_solve(
+                JunctionProblem(demands[b], supplies[b], distribution[b], priority[b])
+            ).gamma_in
+            gap = gamma[b].sum() - lp.sum()
+            # the LP may give up up to its 1e-8 relaxed-total slack for
+            # priority; the vertex never admits less than the LP
+            assert -1e-12 <= gap <= 2e-8, shape
+            if abs(gap) <= 1e-12:
+                assert np.max(np.abs(gamma[b] - lp)) <= _LP_PIN, shape

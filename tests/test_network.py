@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -235,3 +241,34 @@ def test_random_networks_validate_and_have_stochastic_columns():
             np.testing.assert_allclose(
                 junc.distribution.sum(axis=0), 1.0, atol=1e-9
             )
+
+
+_TOPOLOGIES = """
+import json
+import numpy as np
+from helpers import random_network
+rng = np.random.default_rng(7)
+nets = [random_network(rng) for _ in range(50)]
+print(json.dumps([[(j.incoming, j.outgoing) for j in n.junctions] for n in nets]))
+"""
+
+
+def test_random_networks_do_not_depend_on_the_hash_seed():
+    # acceptance criterion 3 draws these 50 networks; str hashing is
+    # salted per process, so two processes with different salts must
+    # still build the same junctions
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    topologies = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _TOPOLOGIES],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        topologies.append(json.loads(done.stdout))
+    assert topologies[0] == topologies[1]

@@ -398,6 +398,129 @@ def test_merge_within_column_tolerance_skips_the_lp(monkeypatch):
     assert sim.total_mass(state) > 0.0
 
 
+def ladder_network(widths, seed=0):
+    """Arc layers of the given widths; each pair of neighbouring layers
+    is joined by one static junction taking every arc of the first
+    layer in and every arc of the second out."""
+    rng = np.random.default_rng(seed)
+    layers = [[f"L{i}_{k}" for k in range(w)] for i, w in enumerate(widths)]
+    last = len(layers) - 1
+    kinds = ["external_in"] + ["generic"] * (last - 1) + ["external_out"]
+    arcs = [Arc(arc_id, 0.0, 1.0, 5, kinds[i]) for i, layer in enumerate(layers) for arc_id in layer]
+    junctions = []
+    for i in range(last):
+        distribution = rng.uniform(0.1, 1.0, (len(layers[i + 1]), len(layers[i])))
+        priority = rng.uniform(0.1, 1.0, len(layers[i]))
+        junctions.append(
+            Junction(
+                f"G{i}",
+                layers[i],
+                layers[i + 1],
+                distribution / distribution.sum(axis=0),
+                priority=priority / priority.sum(),
+            )
+        )
+    bcs = [BoundaryCondition(a, float(rng.uniform(0.2, 0.5))) for a in layers[0]]
+    return Network(UNIT, arcs, junctions, bcs)
+
+
+def test_general_junctions_skip_the_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a junction with at most three incoming arcs reached the LP")
+
+    monkeypatch.setattr("tagflow.junctions.linprog", no_lp)
+    # seven general junctions of every shape from 2x2 to 3x3, so that
+    # most groups stack more than one junction
+    net = ladder_network((2, 2, 3, 2, 3, 3, 2, 2))
+    sim = Simulator(net)
+    state = sim.init_state()
+    for _ in range(80):
+        snap = sim.compute_fluxes(state)
+        state = sim.apply(state, snap, sim.stable_dt(0.5))
+        assert max(sim.junction_balance_residuals(snap).values()) <= 1e-14
+    assert np.all(sim.arc_boundary_fluxes(snap) > 0.0)
+
+
+def test_four_incoming_arcs_fall_back_to_the_lp(monkeypatch):
+    from scipy.optimize import linprog
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr("tagflow.junctions.linprog", counted)
+    sim = Simulator(ladder_network((2, 4, 2)))  # a 2x4 and a 4x2 junction
+    state = sim.init_state()
+    for _ in range(10):
+        state = sim.step(state, sim.stable_dt(0.5))
+    # only the 4x2 junction solves an LP: one for the total, one per arc
+    assert len(calls) == 10 * (1 + 4)
+
+
+def _tracer_mass_residuals(sim, steps):
+    """|change of sum(rho * phi * dx) - dt * (tracer in - tracer out)| per step."""
+    net = sim.net
+    sources = [
+        sim.arc_first_iface[k] for k, a in enumerate(net.arcs) if net.upstream_junction(a.id) is None
+    ]
+    sinks = [
+        sim.arc_last_iface[k] for k, a in enumerate(net.arcs) if net.downstream_junction(a.id) is None
+    ]
+    state = sim.init_state()
+    dt = sim.stable_dt(0.5)
+    residuals = []
+    for _ in range(steps):
+        snap = sim.compute_fluxes(state)  # step recomputes the same, read-only
+        before = np.sum(state.rho * state.phi * sim.dx_cell)
+        state = sim.step(state, dt)
+        after = np.sum(state.rho * state.phi * sim.dx_cell)
+        boundary = dt * (snap.tracer_fluxes[sources].sum() - snap.tracer_fluxes[sinks].sum())
+        residuals.append(abs(after - before - boundary))
+    return np.array(residuals)
+
+
+def test_tracer_mass_conserved_per_step_on_the_roundabout():
+    net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=30)
+    assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12
+
+
+def test_tracer_mass_conserved_per_step_through_a_general_junction():
+    # a dynamic exit feeds a 2x2 general junction whose outlets merge
+    # into one arc of lower capacity, so the general junction runs both
+    # free and supply-bound
+    arcs = [
+        Arc("A", 0.0, 1.0, 8, "external_in"),
+        Arc("B", 0.0, 1.0, 8, "external_in"),
+        Arc("E", 0.0, 1.0, 8, "external_out"),
+        Arc("M", 0.0, 1.0, 8, "generic"),
+        Arc("O1", 0.0, 1.0, 8, "generic"),
+        Arc("O2", 0.0, 1.0, 8, "generic"),
+        Arc("Z", 0.0, 1.0, 8, "external_out"),
+    ]
+    junctions = [
+        Junction(
+            "Jexit",
+            ["A"],
+            ["E", "M"],
+            [[0.5], [0.5]],
+            coefficient_mode="dynamic",
+            exit_arc="E",
+            exit_tracer=1.0,
+        ),
+        Junction("Jgen", ["M", "B"], ["O1", "O2"], [[0.7, 0.4], [0.3, 0.6]], priority=[0.3, 0.7]),
+        Junction("Jmerge", ["O1", "O2"], ["Z"], [[1.0, 1.0]]),
+    ]
+    bcs = [
+        BoundaryCondition("A", 0.4, tracer_in=0.6),
+        BoundaryCondition("B", 0.45, tracer_in=0.3),
+    ]
+    net = Network(UNIT, arcs, junctions, bcs)
+    assert net.validate() == []
+    assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12
+
+
 def test_invariant_breach_fails_loudly():
     net = single_arc_network(UNIT, 20, 0.2)
     sim = Simulator(net)

@@ -77,14 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_scenario(path: str):
+def _load_scenario(path: str):
+    """The parsed (network, config), or None once stderr says why not."""
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            return parse_scenario(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    return text
+    except ScenarioError as exc:
+        for line in exc.errors:
+            print(line, file=sys.stderr)
+    return None
 
 
 def _report_run(result) -> None:
@@ -104,6 +107,9 @@ def _run_and_write(net, config, out_dir: str) -> int:
     except (SimulationError, JunctionLPError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_FAILURE
+    except MemoryError:
+        print("simulation exhausted memory", file=sys.stderr)
+        return EXIT_RUNTIME_FAILURE
     try:
         paths = write_timeseries(result, out_dir)
     except OSError as exc:
@@ -116,16 +122,10 @@ def _run_and_write(net, config, out_dir: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    text = _read_scenario(args.scenario)
-    if text is None:
+    loaded = _load_scenario(args.scenario)
+    if loaded is None:
         return EXIT_INVALID_INPUT
-    try:
-        net, config = parse_scenario(text)
-    except ScenarioError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    return _run_and_write(net, config, args.out)
+    return _run_and_write(*loaded, args.out)
 
 
 def _cmd_roundabout(args) -> int:
@@ -146,15 +146,10 @@ def _cmd_roundabout(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    text = _read_scenario(args.scenario)
-    if text is None:
+    loaded = _load_scenario(args.scenario)
+    if loaded is None:
         return EXIT_INVALID_INPUT
-    try:
-        net, _ = parse_scenario(text)
-    except ScenarioError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    net, _ = loaded
     print(f"valid: {len(net.arcs)} arcs, {len(net.junctions)} junctions")
     return EXIT_OK
 

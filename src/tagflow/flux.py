@@ -29,9 +29,9 @@ class FluxModel:
     """Linear-velocity (quadratic-flow) fundamental diagram.
 
     All densities handed to the methods must lie in [0, rho_max] up to
-    DENSITY_TOL; anything further out raises ValueError.  Every method
-    accepts scalars or numpy arrays and is pure, so instances are safe
-    to share between threads.
+    DENSITY_TOL; anything further out, or NaN, raises ValueError.  Every
+    method accepts scalars or numpy arrays and is pure, so instances are
+    safe to share between threads.
     """
 
     v_max: float = 1.0
@@ -55,23 +55,14 @@ class FluxModel:
         """Bound on |d flux / d rho| over [0, rho_max]; sets the CFL limit."""
         return self.v_max
 
-    def _as_density(self, rho):
-        arr = np.asarray(rho, dtype=float)
-        if arr.size and (np.min(arr) < -DENSITY_TOL or np.max(arr) > self.rho_max + DENSITY_TOL):
-            raise ValueError(
-                f"density outside [0, {self.rho_max}]: "
-                f"range [{np.min(arr)}, {np.max(arr)}]"
-            )
-        return np.clip(arr, 0.0, self.rho_max)
-
     def velocity(self, rho):
         """Appearance velocity v_max * (1 - rho / rho_max)."""
-        r = self._as_density(rho)
+        r = self.clamp_density(rho)
         return _like(rho, self.v_max * (1.0 - r / self.rho_max))
 
     def flux(self, rho):
         """Flow rho * velocity(rho)."""
-        r = self._as_density(rho)
+        r = self.clamp_density(rho)
         return _like(rho, r * (self.v_max * (1.0 - r / self.rho_max)))
 
     def demand(self, rho):
@@ -80,7 +71,7 @@ class FluxModel:
         Equals flux(rho) below the critical density and saturates at the
         capacity above it; non-decreasing in rho.
         """
-        r = np.minimum(self._as_density(rho), self.sigma)
+        r = np.minimum(self.clamp_density(rho), self.sigma)
         return _like(rho, r * (self.v_max * (1.0 - r / self.rho_max)))
 
     def supply(self, rho):
@@ -89,7 +80,7 @@ class FluxModel:
         Capacity below the critical density, flux(rho) above it;
         non-increasing in rho.
         """
-        r = np.maximum(self._as_density(rho), self.sigma)
+        r = np.maximum(self.clamp_density(rho), self.sigma)
         return _like(rho, r * (self.v_max * (1.0 - r / self.rho_max)))
 
     def demand_and_supply(self, rho, out_demand=None, out_supply=None, check=True):
@@ -98,7 +89,7 @@ class FluxModel:
         The fast path of the stepping engine; check=False skips the
         domain validation for densities the caller already clamped.
         """
-        arr = self._as_density(rho) if check else np.asarray(rho, dtype=float)
+        arr = self.clamp_density(rho) if check else np.asarray(rho, dtype=float)
         slope = self.v_max / self.rho_max
         d = np.minimum(arr, self.sigma, out=out_demand)
         s = np.maximum(arr, self.sigma, out=out_supply)
@@ -122,7 +113,7 @@ class FluxModel:
 
     def char_speed(self, rho):
         """Characteristic speed d flux / d rho = v_max * (1 - 2 rho / rho_max)."""
-        r = self._as_density(rho)
+        r = self.clamp_density(rho)
         return _like(rho, self.v_max * (1.0 - 2.0 * r / self.rho_max))
 
     def riemann_eval(self, rho_left, rho_right, xi):
@@ -135,8 +126,8 @@ class FluxModel:
         satisfies char_speed(rho) = xi.  Equal states stay constant.
         xi may be a scalar or an array.
         """
-        left = float(self._as_density(rho_left))
-        right = float(self._as_density(rho_right))
+        left = float(self.clamp_density(rho_left))
+        right = float(self.clamp_density(rho_right))
         x = np.asarray(xi, dtype=float)
 
         if left == right:
@@ -154,10 +145,11 @@ class FluxModel:
     def clamp_density(self, rho, tol: float = DENSITY_TOL):
         """Clip round-off excursions back into [0, rho_max].
 
-        Violations beyond tol indicate a bug upstream and raise.
+        Every method's domain check.  Violations beyond tol, and NaN,
+        indicate a bug upstream and raise.
         """
         arr = np.asarray(rho, dtype=float)
-        if arr.size and (np.min(arr) < -tol or np.max(arr) > self.rho_max + tol):
+        if arr.size and not (np.min(arr) >= -tol and np.max(arr) <= self.rho_max + tol):
             raise ValueError(
                 f"density violates [0, {self.rho_max}] beyond tolerance {tol}: "
                 f"range [{np.min(arr)}, {np.max(arr)}]"

@@ -21,6 +21,7 @@ converges to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,7 +178,9 @@ class Network:
             if arc.id in seen:
                 errors.append(f"arc {arc.id}: duplicate id")
             seen.add(arc.id)
-            if not arc.b > arc.a:
+            if not math.isfinite(arc.b - arc.a):  # also NaN or infinite ends
+                errors.append(f"arc {arc.id}: a={arc.a}, b={arc.b} give no finite length")
+            elif not arc.b > arc.a:
                 errors.append(f"arc {arc.id}: b={arc.b} must exceed a={arc.a}")
             if arc.n_cells < 1:
                 errors.append(f"arc {arc.id}: n_cells must be >= 1")
@@ -207,23 +210,29 @@ class Network:
                 used_as_out[arc_id] = used_as_out.get(arc_id, 0) + 1
 
             n_in, n_out = len(junc.incoming), len(junc.outgoing)
+            entries = junc.distribution.ravel().tolist()
             if junc.distribution.shape != (n_out, n_in):
                 errors.append(
                     f"junction {junc.id}: distribution shape {junc.distribution.shape} "
                     f"does not match ({n_out}, {n_in})"
                 )
+            elif not all(map(math.isfinite, entries)):
+                errors.append(f"junction {junc.id}: non-finite distribution entry")
             else:
-                if np.any(junc.distribution < 0.0):
+                if min(entries, default=0.0) < 0.0:
                     errors.append(f"junction {junc.id}: negative distribution entry")
-                for i, total in enumerate(junc.distribution.sum(axis=0)):
+                for i, total in enumerate(junc.distribution.sum(axis=0).tolist()):
                     if abs(total - 1.0) > _COLUMN_TOL:
                         errors.append(
                             f"junction {junc.id}: distribution column {i} mass {total:g} != 1"
                         )
+            weights = junc.priority.tolist()
             if junc.priority.shape != (n_in,):
                 errors.append(f"junction {junc.id}: priority length != incoming arcs")
+            elif not all(map(math.isfinite, weights)):
+                errors.append(f"junction {junc.id}: non-finite priority weight")
             elif n_in:
-                if np.any(junc.priority < -1e-12) or np.any(junc.priority > 1.0 + 1e-12):
+                if min(weights) < -1e-12 or max(weights) > 1.0 + 1e-12:
                     errors.append(f"junction {junc.id}: priority weights outside [0, 1]")
                 if abs(junc.priority.sum() - 1.0) > _COLUMN_TOL:
                     errors.append(f"junction {junc.id}: priority weights must sum to 1")

@@ -79,13 +79,14 @@ class SimConfig:
     record_profiles: bool = True
 
     def __post_init__(self):
+        # written so that NaN fails every check
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError("cfl_number must lie in (0, 1]")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.sample_interval <= 0.0:
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not self.sample_interval > 0.0:
             raise ValueError("sample_interval must be positive")
-        if self.equilibrium_window <= 0.0 or self.equilibrium_tol <= 0.0:
+        if not (self.equilibrium_window > 0.0 and self.equilibrium_tol > 0.0):
             raise ValueError("equilibrium window and tolerance must be positive")
         if self.coefficient_mode not in ("network", "static"):
             raise ValueError("coefficient_mode must be 'network' or 'static'")

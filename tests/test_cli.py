@@ -152,3 +152,27 @@ def test_scenario_command_round_trips(capsys):
     text = capsys.readouterr().out
     data = json.loads(text)
     assert len(data["arcs"]) == 8
+
+
+def test_simulation_out_of_memory_is_runtime_failure(scenario_file, tmp_path, monkeypatch, capsys):
+    class Exhausted:
+        def __init__(self, net):
+            pass
+
+        def run(self, config):
+            raise MemoryError
+
+    monkeypatch.setattr("tagflow.cli.Simulator", Exhausted)
+    code = main(["run", str(scenario_file), "--out", str(tmp_path / "out")])
+    assert code == EXIT_RUNTIME_FAILURE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_non_utf8_file(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"arcs": "\xc0\xff"}')
+    assert main(["validate", str(binary)]) == EXIT_INVALID_INPUT
+    assert "cannot read" in capsys.readouterr().err

@@ -66,7 +66,7 @@ def test_riemann_examples():
 
 
 def test_domain_errors():
-    for bad in (-0.1, 1.1):
+    for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError):
             UNIT.velocity(bad)
         with pytest.raises(ValueError):

@@ -185,6 +185,28 @@ def test_validate_reports_bad_column_mass():
     assert any("column 0 mass 0.9" in msg for msg in report)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_validate_reports_non_finite_numbers(bad):
+    net = build_roundabout(0.5, 0.5, 0.1, 0.1)
+    net.arc("S1").b = bad
+    net.arc("S2").a, net.arc("S2").b = -1e308, 1e308  # finite ends, length overflows
+    net.junction("J2").distribution = np.array([[bad], [0.5]])
+    net.junction("J1").priority = np.array([bad, 1.0])
+    report = net.validate()
+    assert f"arc S1: a=0.0, b={bad} give no finite length" in report
+    assert "arc S2: a=-1e+308, b=1e+308 give no finite length" in report
+    assert "junction J2: non-finite distribution entry" in report
+    assert "junction J1: non-finite priority weight" in report
+
+
+def test_validate_survives_a_junction_without_incoming_arcs():
+    net = build_roundabout(0.5, 0.5, 0.1, 0.1)
+    net.junction("J2").incoming = []
+    net.junction("J2").distribution = np.zeros((2, 0))
+    net.junction("J2").priority = np.zeros(0)
+    assert any("needs at least one incoming" in msg for msg in net.validate())
+
+
 def test_validate_reports_dangling_reference():
     net = Network(
         model=UNIT,

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tagflow import scenario
+from tagflow.flux import FluxModel
 from tagflow.network import build_roundabout
 from tagflow.scenario import (
     NetworkValidationError,
@@ -136,7 +138,122 @@ def test_minimal_scenario_defaults():
 
 
 def test_schema_config_defaults_match_simconfig():
-    schema = json.loads((Path(__file__).parent.parent / "docs" / "scenario.schema.json").read_text())
+    schema = json.loads((Path(__file__).parent.parent / "src" / "tagflow" / "scenario.schema.json").read_text())
     properties = schema["properties"]["config"]["properties"]
     documented = {name: spec["default"] for name, spec in properties.items()}
     assert documented == dataclasses.asdict(SimConfig())
+
+
+BUNDLED = json.loads((Path(__file__).parent.parent / "demos" / "roundabout.json").read_text())
+
+
+def _bundled_with(*edits):
+    """The bundled scenario's text with each (path, JSON literal) edit made;
+    a literal of None drops the field."""
+    data = json.loads(json.dumps(BUNDLED))
+    literals = {}
+    for path, literal in edits:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if literal is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = f"@{len(literals)}@"
+            literals[f'"@{len(literals)}@"'] = literal
+    text = json.dumps(data)
+    for sentinel, literal in literals.items():
+        text = text.replace(sentinel, literal)
+    return text
+
+
+NUMBER_FIELDS = {
+    "flux_model.v_max": ("flux_model", "v_max"),
+    "config.t_end": ("config", "t_end"),
+    "boundary_conditions[0].rho_bar": ("boundary_conditions", 0, "rho_bar"),
+    "junctions[1].distribution[0][0]": ("junctions", 1, "distribution", 0, 0),
+}
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_non_finite_constants_are_syntax_errors(constant, field):
+    with pytest.raises(ScenarioSyntaxError) as info:
+        parse_scenario(_bundled_with((NUMBER_FIELDS[field], constant)))
+    assert info.value.errors[0].startswith(constant)
+
+
+@pytest.mark.parametrize(
+    "literal", ["1e400", "-1e400", pytest.param("1" + "0" * 400, id="401-digit-integer")]
+)
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_overflowing_literal_is_a_schema_error_at_its_path(literal, field):
+    with pytest.raises(ScenarioSchemaError) as info:
+        parse_scenario(_bundled_with((NUMBER_FIELDS[field], literal)))
+    assert info.value.errors == [f"{field}: expected a finite number"]
+
+
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(ScenarioSyntaxError):
+        parse_scenario("[" * 100_000 + "]" * 100_000)
+
+
+# inputs the schema refuses that the network check used to see, or
+# that used to be accepted
+@pytest.mark.parametrize(
+    "path, literal",
+    [
+        (("junctions", 1, "distribution", 0, 0), "-0.5"),
+        (("junctions", 0, "priority", 0), "1.5"),
+        (("junctions", 1, "exit_tracer"), "0.5"),
+        (("junctions", 1, "exit_tracer"), "true"),
+        (("boundary_conditions", 0, "rho_bar"), "-0.1"),
+        (("junctions", 1, "incoming"), "[]"),
+        (("junctions", 0, "priority"), "null"),
+        (("junctions", 1, "exit_arc"), "null"),
+        (("junctions", 1, "distribution", 1), "[]"),
+        (("flux_model", "v_max"), "true"),
+        (("arcs", 0, "n_cells"), "50.0"),
+    ],
+)
+def test_schema_refusals_name_the_field(path, literal):
+    field = ".".join(f"[{k}]" if isinstance(k, int) else k for k in path).replace(".[", "[")
+    with pytest.raises(ScenarioSchemaError) as info:
+        parse_scenario(_bundled_with((path, literal)))
+    assert [e for e in info.value.errors if e.startswith(f"{field}:")], info.value.errors
+
+
+def test_ragged_distribution_is_a_schema_error():
+    with pytest.raises(ScenarioSchemaError) as info:
+        parse_scenario(_bundled_with((("junctions", 1, "distribution"), "[[0.5], [0.25, 0.25]]")))
+    assert info.value.errors == ["junctions[1].distribution: rows must be of equal length"]
+
+
+def test_scenario_must_be_an_object():
+    with pytest.raises(ScenarioSchemaError) as info:
+        parse_scenario("[]")
+    assert info.value.errors == ["scenario: expected type object, got array"]
+
+
+def test_schema_defaults_fill_absent_fields():
+    net, config = parse_scenario(
+        _bundled_with(
+            (("flux_model",), None),
+            (("config",), None),
+            (("arcs", 0, "a"), None),
+            (("junctions", 1, "exit_tracer"), None),
+        )
+    )
+    assert net.model == FluxModel()
+    assert config == SimConfig()
+    assert net.arcs[0].a == 0.0
+    assert net.junctions[1].exit_tracer == 1.0
+
+
+def test_unimplemented_schema_keyword_is_refused():
+    with pytest.raises(ValueError, match="pattern"):
+        scenario._audit({"type": "object", "properties": {"id": {"type": "string", "pattern": "^S"}}})
+    with pytest.raises(ValueError, match="type"):
+        scenario._audit({"type": ["string", "null"]})
+    with pytest.raises(ValueError, match="additionalProperties"):
+        scenario._audit({"additionalProperties": {"type": "string"}})

@@ -540,3 +540,16 @@ def test_simulator_rejects_invalid_network():
     )
     with pytest.raises(ValueError):
         Simulator(net)
+
+
+@pytest.mark.parametrize(
+    "field", ["t_end", "cfl_number", "sample_interval", "equilibrium_window", "equilibrium_tol"]
+)
+def test_simconfig_rejects_nan(field):
+    with pytest.raises(ValueError):
+        SimConfig(**{field: float("nan")})
+
+
+def test_simconfig_rejects_infinite_t_end():
+    with pytest.raises(ValueError, match="t_end"):
+        SimConfig(t_end=float("inf"))

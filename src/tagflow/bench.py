@@ -10,14 +10,11 @@ numbers are comparable across machines.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .flux import FluxModel
 from .network import Arc, BoundaryCondition, Junction, Network
-from .simulate import Simulator
+from .simulate import SimConfig, Simulator
 
 __all__ = ["BenchReport", "build_diamond_chain", "run_bench"]
 
@@ -83,40 +80,30 @@ def build_diamond_chain(
 
 
 def run_bench(n_arcs: int, cells_per_arc: int, steps: int) -> BenchReport:
-    """Build the chain, run the requested steps, verify conservation.
+    """Run the chain for the requested steps through Simulator.run.
 
-    Wall time covers the stepping loop only, not network construction.
-    The conservation tolerance scales with accumulated round-off,
-    max(1e-10, 1e-15 * cells * steps).
+    t_end is steps * dt, so the run takes exactly that many steps, with
+    no profiles recorded.  Wall time covers the run's stepping loop
+    only, not network construction.  The conservation tolerance scales
+    with accumulated round-off, max(1e-10, 1e-15 * cells * steps).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     net = build_diamond_chain(n_arcs, cells_per_arc)
     sim = Simulator(net)
-    state = sim.init_state()
     dt = sim.stable_dt(0.5)
-
-    mass_start = sim.total_mass(state)
-    boundary_integral = 0.0
-    start = time.perf_counter()
-    for _ in range(steps):
-        snap = sim.compute_fluxes(state)
-        sim.apply(state, snap, dt, inplace=True)
-        boundary_integral += dt * (snap.inflow_total - snap.outflow_total)
-    wall = time.perf_counter() - start
-
-    residual = abs(sim.total_mass(state) - mass_start - boundary_integral)
-    total_cells = sim.total_cells
+    summary = sim.run(SimConfig(t_end=steps * dt, cfl_number=0.5, record_profiles=False)).summary
+    total_cells = summary["cells"]
     return BenchReport(
         requested_arcs=n_arcs,
         n_arcs=len(net.arcs),
         n_junctions=len(net.junctions),
         cells_per_arc=cells_per_arc,
         total_cells=total_cells,
-        steps=steps,
+        steps=summary["steps"],
         dt=dt,
-        wall_time_s=wall,
-        cell_updates_per_s=total_cells * steps / wall if wall > 0 else float("inf"),
-        mass_residual=residual,
+        wall_time_s=summary["wall_time_s"],
+        cell_updates_per_s=summary["cell_updates_per_s"],
+        mass_residual=summary["mass_residual"],
         mass_tolerance=max(1e-10, 1e-15 * total_cells * steps),
     )

@@ -28,7 +28,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .network import _COLUMN_TOL
 
@@ -271,6 +270,17 @@ def solve(p: JunctionProblem) -> JunctionFluxSolution:
             routing = p.distribution[None][:, :, order]
             gamma[order] = general(ranked, p.supplies[None, :], routing)[0]
     return _finish(p, gamma)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first call.
+
+    Only general junctions with more than three incoming arcs need it,
+    so a run without them never imports scipy.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 _LP_OPTIONS = {

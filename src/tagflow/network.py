@@ -45,6 +45,10 @@ __all__ = [
 ARC_KINDS = ("external_in", "external_out", "circle", "generic")
 
 _COLUMN_TOL = 1e-9
+# Most cell interfaces (cells plus arcs) whose float64 array numpy can
+# address; past it, array construction fails with an error other than
+# MemoryError.
+_MAX_INTERFACES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 class UndefinedCoefficientsError(ValueError):
@@ -188,6 +192,9 @@ class Network:
                 errors.append(f"arc {arc.id}: unknown kind {arc.kind!r}")
         if not self.arcs:
             errors.append("network has no arcs")
+        total_cells = sum(int(arc.n_cells) for arc in self.arcs)  # Python ints never overflow
+        if total_cells + len(self.arcs) > _MAX_INTERFACES:
+            errors.append(f"network has {total_cells} cells, more than an array can index")
 
         seen_j: set[str] = set()
         used_as_in: dict[str, int] = {}

@@ -13,9 +13,12 @@ donor-cell value of each flux, and refreshes the dynamic exit splits
 from the composition that actually arrived.  Nothing in phase 2 feeds
 back into phase 1 of the same step, so cell updates are order-free.
 
+The state is arrays only: density and tracer per cell, one exit split
+per dynamic junction.  Simulator.run is the one time loop.
+
 The tracer phi is the fraction of a cell's mass bound for the marked
 exit class.  At a dynamic exit junction the bulk split follows the
-current coefficients while the tracer mass is sorted: the class that
+current exit split while the tracer mass is sorted: the class that
 departs here leaves first, any overflow stays on the circle.  Junctions
 with several incoming arcs mix tracer in proportion to granted flux.
 Cells lighter than EPS_MASS hold the neutral placeholder 0.5 and never
@@ -24,8 +27,9 @@ contribute to mixtures.
 
 from __future__ import annotations
 
+import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +70,8 @@ class SimConfig:
     """Run parameters.
 
     coefficient_mode "network" honours each junction's own mode;
-    "static" freezes every split at its initial value.  A sample is
-    recorded whenever the clock passes a multiple of sample_interval.
+    "static" freezes every split at its initial value.  A run samples
+    every sample_interval and at t_end.
     """
 
     t_end: float = 100.0
@@ -94,18 +98,19 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Mutable per-cell state: clock, densities, tracer, current splits.
+    """Mutable per-cell state: clock, densities, tracer, current exit splits.
 
     rho and phi are flat arrays over all cells in arc order (phi is None
-    on networks without dynamic junctions); coefficients maps junction
-    id to its current distribution matrix.
+    on networks without dynamic junctions).  exit_splits is (n_dynamic,
+    2): one row per dynamic junction in network order, its columns in
+    that junction's outgoing order.  Static splits live on the network.
     """
 
     time: float
     step_count: int
     rho: np.ndarray
     phi: np.ndarray | None
-    coefficients: dict[str, np.ndarray]
+    exit_splits: np.ndarray
 
     def copy(self) -> "SimState":
         return SimState(
@@ -113,7 +118,7 @@ class SimState:
             step_count=self.step_count,
             rho=self.rho.copy(),
             phi=None if self.phi is None else self.phi.copy(),
-            coefficients={k: v.copy() for k, v in self.coefficients.items()},
+            exit_splits=self.exit_splits.copy(),
         )
 
 
@@ -153,11 +158,10 @@ class _JunctionGroup:
 
     The cell and interface arrays are (B, n_in) and (B, n_out), with
     incoming columns in priority order.  split is the current (B, n_out)
-    routing of a diverge group, and dynamic lists the (row, junction id)
-    pairs whose split follows state.coefficients.  distribution is the
-    (B, n_out, n_in) routing of a general group, its columns in the same
-    priority order; general junctions are static, as only diverges may
-    be dynamic.
+    routing of a diverge group; its row dynamic[k] is exit_splits[k].
+    Dynamic junctions are all one-in, two-out diverges, so they share
+    one group, the only one whose dynamic is not None.  distribution is
+    the (B, n_out, n_in) routing of a general group, in priority order.
     """
 
     kind: str
@@ -166,7 +170,7 @@ class _JunctionGroup:
     out_cell: np.ndarray
     out_iface: np.ndarray
     split: np.ndarray | None = None
-    dynamic: list[tuple[int, str]] = field(default_factory=list)
+    dynamic: np.ndarray | None = None
     distribution: np.ndarray | None = None
 
 
@@ -240,11 +244,10 @@ class Simulator:
     one thread at a time.
     """
 
-    def __init__(self, net: Network, validate: bool = True):
-        if validate:
-            report = net.validate()
-            if report:
-                raise ValueError("invalid network: " + "; ".join(report))
+    def __init__(self, net: Network):
+        report = net.validate()
+        if report:
+            raise ValueError("invalid network: " + "; ".join(report))
         self.net = net
         self.model: FluxModel = net.model
 
@@ -343,9 +346,9 @@ class Simulator:
             )
             if kind == "diverge":
                 group.split = np.stack([j.distribution[:, 0] for j in juncs])
-                group.dynamic = [
-                    (row, j.id) for row, j in enumerate(juncs) if j.coefficient_mode == "dynamic"
-                ]
+                rows = [row for row, j in enumerate(juncs) if j.coefficient_mode == "dynamic"]
+                if rows:
+                    group.dynamic = np.array(rows, dtype=np.intp)
             elif kind == "general":
                 group.distribution = np.stack(
                     [j.distribution[:, _junctions.priority_order(j.priority)] for j in juncs]
@@ -366,7 +369,8 @@ class Simulator:
         self._dyn_other_iface = self.arc_first_iface[
             arcs(lambda j: j.outgoing[1 - j.outgoing.index(j.exit_arc)])
         ]
-        self._dyn_exit_tracer = np.array([j.exit_tracer for j in dyn])
+        self._dyn_exit_col = np.array([j.outgoing.index(j.exit_arc) for j in dyn], dtype=np.intp)
+        self._dyn_takes_marked = np.array([j.exit_tracer == 1.0 for j in dyn], dtype=bool)
 
     def _check_interface_cover(self):
         cover = np.zeros(self.total_ifaces, dtype=int)
@@ -388,7 +392,9 @@ class Simulator:
             step_count=0,
             rho=np.zeros(self.total_cells),
             phi=phi,
-            coefficients={j.id: j.distribution.copy() for j in self.net.junctions},
+            exit_splits=np.array(
+                [j.distribution[:, 0] for j in self._dyn_junctions]
+            ).reshape(-1, 2),
         )
 
     def cells(self, state_array: np.ndarray, arc_id: str) -> np.ndarray:
@@ -431,8 +437,8 @@ class Simulator:
             d = demand[g.in_cell]
             s = supply[g.out_cell]
             if g.kind == "diverge":
-                for row, jid in g.dynamic:
-                    g.split[row] = state.coefficients[jid][:, 0]
+                if g.dynamic is not None:
+                    g.split[g.dynamic] = state.exit_splits
                 gamma = _junctions.diverge(d[:, 0], s, g.split)
                 F[g.in_iface[:, 0]] = gamma
                 F[g.out_iface] = g.split * gamma[:, None]
@@ -483,9 +489,8 @@ class Simulator:
             m = F[self._dyn_in_iface] * phi[self._dyn_in_cell]
             bulk_exit = F[self._dyn_exit_iface]
             unmarked = F[self._dyn_in_iface] - m
-            takes_marked = self._dyn_exit_tracer == 1.0
             to_exit = np.where(
-                takes_marked,
+                self._dyn_takes_marked,
                 np.minimum(m, bulk_exit),
                 np.maximum(bulk_exit - np.minimum(unmarked, bulk_exit), 0.0),
             )
@@ -547,31 +552,25 @@ class Simulator:
         out.step_count = state.step_count + 1
         return out
 
-    def _update_dynamic_coefficients(self, state: SimState, snap: FluxSnapshot, donor_phi: np.ndarray):
-        """Refresh exit splits from the composition that arrived this step."""
-        arriving = snap.fluxes[self._dyn_in_iface]
-        for k, junc in enumerate(self._dyn_junctions):
-            if arriving[k] < EPS_FLUX:
-                continue
-            column = dynamic_exit_coefficients(
-                junc, arriving[k], donor_phi[k], state.coefficients[junc.id][:, 0]
-            )
-            state.coefficients[junc.id] = column.reshape(2, 1)
-
     def _advance(self, state: SimState, snap: FluxSnapshot, dt: float, update_coefficients: bool):
         """Phase 2 in place: apply snap, then refresh the dynamic exit splits.
 
         The splits follow the tracer the donor cells held before the
-        update, which is what crossed the exit interfaces this step.
+        update, which is what crossed the exit interfaces this step, by
+        the rule of dynamic_exit_coefficients applied to every row at once.
         """
-        donor = None
-        if update_coefficients and state.phi is not None:
-            donor = np.clip(state.phi[self._dyn_in_cell], 0.0, 1.0)
+        if not (update_coefficients and state.phi is not None):
+            self.apply(state, snap, dt, inplace=True)
+            return
+        donor = np.minimum(np.maximum(state.phi[self._dyn_in_cell], 0.0), 1.0)
         self.apply(state, snap, dt, inplace=True)
-        if donor is not None:
-            self._update_dynamic_coefficients(state, snap, donor)
+        rows = np.nonzero(snap.fluxes[self._dyn_in_iface] >= EPS_FLUX)[0]
+        to_exit = np.where(self._dyn_takes_marked, donor, 1.0 - donor)[rows]
+        exit_col = self._dyn_exit_col[rows]
+        state.exit_splits[rows, exit_col] = to_exit
+        state.exit_splits[rows, 1 - exit_col] = 1.0 - to_exit
 
-    def step(self, state: SimState, dt: float, update_coefficients: bool = True) -> SimState:
+    def step(self, state: SimState, dt: float) -> SimState:
         """One two-phase step; returns a new state.
 
         dt must respect the CFL bound stable_dt(1.0).
@@ -584,7 +583,7 @@ class Simulator:
             )
         snap = self.compute_fluxes(state)
         new = state.copy()
-        self._advance(new, snap, dt, update_coefficients)
+        self._advance(new, snap, dt, True)
         return new
 
     # -- diagnostics ---------------------------------------------------------
@@ -604,71 +603,85 @@ class Simulator:
     # -- driver --------------------------------------------------------------
 
     def run(self, config: SimConfig) -> RunResult:
-        """March to t_end, sampling states, fluxes, splits on the way."""
+        """March to t_end, sampling states, fluxes, splits on the way.
+
+        The clock counts steps, times within 1e-9 dt being equal: step k
+        ends at (k + 1) * dt, the last at t_end.  Sample j is the first
+        state at or after j * sample_interval, and carries that time
+        when a step ends there.
+        """
         dt = self.stable_dt(config.cfl_number)
-        state = self.init_state()
+        eps = 1e-9 * dt
+        n_steps = max(1, math.ceil(config.t_end / dt - 1e-9))
+        last_dt = config.t_end - (n_steps - 1) * dt  # short when t_end is off the step grid
+        last_dt = dt if last_dt >= dt - eps else last_dt
         update = config.coefficient_mode != "static"
+        state = self.init_state()
 
         times: list[float] = []
         flux_rows: list[np.ndarray] = []
-        coeff_rows: dict[str, list[np.ndarray]] = {j.id: [] for j in self.net.junctions}
+        split_rows: list[np.ndarray] = []
         density_rows: list[np.ndarray] = []
         tracer_rows: list[np.ndarray] = []
-        first_arrival: dict[str, tuple[float, np.ndarray]] = {}
+        arrived = np.zeros(len(self._dyn_junctions), dtype=bool)
+        arrival_time = np.zeros(arrived.size)
+        arrival_split = np.zeros((arrived.size, 2))
+        waiting = update and arrived.size > 0
 
         mass_start = self.total_mass(state)
         boundary_integral = 0.0
-        next_sample = 0.0
+        next_sample = 0  # j of the next sample time j * sample_interval
         wall_start = _time.perf_counter()
 
-        def record(snap: FluxSnapshot):
-            times.append(state.time)
-            flux_rows.append(self.arc_boundary_fluxes(snap).copy())
-            for jid, rows in coeff_rows.items():
-                rows.append(state.coefficients[jid].copy())
+        def record(snap: FluxSnapshot, t: float):
+            times.append(t)
+            flux_rows.append(self.arc_boundary_fluxes(snap))
+            split_rows.append(state.exit_splits.copy())
             if config.record_profiles:
                 density_rows.append(state.rho.copy())
                 if state.phi is not None:
                     tracer_rows.append(state.phi.copy())
 
-        while True:
+        for k in range(n_steps):
             snap = self.compute_fluxes(state)
-            if state.time >= next_sample - 1e-9:
-                record(snap)
-                while next_sample <= state.time + 1e-9:
-                    next_sample += config.sample_interval
-            remaining = config.t_end - state.time
-            if remaining <= 1e-12:
-                if not times or times[-1] < state.time - 1e-9:
-                    record(snap)  # t_end that falls off the sampling grid
-                break
-            step_dt = min(dt, remaining)
+            due = next_sample * config.sample_interval
+            if state.time >= due - eps:
+                record(snap, due if state.time <= due + eps else state.time)
+                next_sample = math.floor((state.time + eps) / config.sample_interval) + 1
+            last = k == n_steps - 1
+            step_dt = last_dt if last else dt
             self._advance(state, snap, step_dt, update)
-            if update:
-                for k, junc in enumerate(self._dyn_junctions):
-                    if junc.id not in first_arrival and (
-                        snap.fluxes[self._dyn_in_iface[k]] >= EPS_FLUX
-                    ):
-                        first_arrival[junc.id] = (
-                            state.time,
-                            state.coefficients[junc.id][:, 0].copy(),
-                        )
+            state.time = config.t_end if last else (k + 1) * dt
+            if waiting:
+                new = ~arrived & (snap.fluxes[self._dyn_in_iface] >= EPS_FLUX)
+                arrival_time[new] = state.time
+                arrival_split[new] = state.exit_splits[new]
+                arrived |= new
+                waiting = not arrived.all()
             boundary_integral += step_dt * (snap.inflow_total - snap.outflow_total)
+        record(self.compute_fluxes(state), state.time)
 
         wall = _time.perf_counter() - wall_start
         mass_residual = abs(self.total_mass(state) - mass_start - boundary_integral)
 
         times_arr = np.asarray(times)
         flux_arr = np.asarray(flux_rows)
-        equilibrium_time = (
-            detect_equilibrium(
-                times_arr, flux_arr, config.equilibrium_window, config.equilibrium_tol
-            )
-            if len(times) >= 2
-            else None
+        equilibrium_time = detect_equilibrium(
+            times_arr, flux_arr, config.equilibrium_window, config.equilibrium_tol
         )
         final_fluxes = {
             arc_id: float(flux_arr[-1, k]) for k, arc_id in enumerate(self.arc_ids)
+        }
+        splits = np.asarray(split_rows)
+        coefficients = {
+            j.id: np.repeat(j.distribution[None], len(times), axis=0) for j in self.net.junctions
+        }
+        for k, junc in enumerate(self._dyn_junctions):
+            coefficients[junc.id] = splits[:, k, :, None].copy()
+        first_arrival = {
+            junc.id: (float(arrival_time[k]), arrival_split[k].copy())
+            for k, junc in enumerate(self._dyn_junctions)
+            if arrived[k]
         }
         summary = {
             "t_end": state.time,
@@ -690,11 +703,9 @@ class Simulator:
             },
             times=times_arr,
             arc_fluxes=flux_arr,
-            coefficients={jid: np.asarray(rows) for jid, rows in coeff_rows.items()},
-            density=np.asarray(density_rows) if config.record_profiles else None,
-            tracer=np.asarray(tracer_rows)
-            if config.record_profiles and self.tracer_enabled
-            else None,
+            coefficients=coefficients,
+            density=np.asarray(density_rows) if density_rows else None,
+            tracer=np.asarray(tracer_rows) if tracer_rows else None,
             first_arrival_coefficients=first_arrival,
             equilibrium_time=equilibrium_time,
             summary=summary,

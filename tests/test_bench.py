@@ -29,6 +29,13 @@ def test_tiny_bench_conserves_mass():
     assert report.total_cells == report.n_arcs * 10
 
 
+@pytest.mark.parametrize("steps", [1, 7, 500])
+def test_bench_takes_exactly_the_requested_steps(steps):
+    report = run_bench(4, 3, steps)
+    assert report.steps == steps
+    assert report.conservation_ok
+
+
 def test_bench_rejects_bad_parameters():
     with pytest.raises(ValueError):
         run_bench(0, 10, 1)

@@ -171,6 +171,28 @@ def test_simulation_out_of_memory_is_runtime_failure(scenario_file, tmp_path, mo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("counts", [(10**20,), (2**62, 2**62)])
+def test_network_too_large_to_index_is_invalid_input(scenario_file, tmp_path, monkeypatch, capsys, counts):
+    def never_built(net):
+        raise AssertionError("an oversized network reached the simulator")
+
+    monkeypatch.setattr("tagflow.cli.Simulator", never_built)
+    data = json.loads(scenario_file.read_text())
+    for arc, n in zip(data["arcs"], counts):
+        arc["n_cells"] = n
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    for argv in (["validate", str(huge)], ["run", str(huge), "--out", str(tmp_path / "out")]):
+        assert main(argv) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [
+            f"network has {sum(a['n_cells'] for a in data['arcs'])} cells, "
+            "more than an array can index"
+        ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_non_utf8_file(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b'{"arcs": "\xc0\xff"}')

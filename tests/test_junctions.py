@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +271,25 @@ def test_general_kernel_against_the_lp():
             assert -1e-12 <= gap <= 2e-8, shape
             if abs(gap) <= 1e-12:
                 assert np.max(np.abs(gamma[b] - lp)) <= _LP_PIN, shape
+
+
+_ROUNDABOUT_WITHOUT_SCIPY = """
+import sys
+import tagflow
+net = tagflow.build_roundabout(0.5, 0.5, 0.1, 0.1, cells_per_arc=5)
+tagflow.Simulator(net).run(tagflow.SimConfig(t_end=2.0))
+print("scipy" in sys.modules)
+"""
+
+
+def test_scipy_is_imported_only_for_the_lp():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _ROUNDABOUT_WITHOUT_SCIPY],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert done.stdout.strip() == "False"

@@ -199,6 +199,17 @@ def test_validate_reports_non_finite_numbers(bad):
     assert "junction J1: non-finite priority weight" in report
 
 
+@pytest.mark.parametrize("counts", [(10**20,), (2**62, 2**62), (2**61,)])
+def test_validate_reports_too_many_cells(counts):
+    # two arcs of 2**62 cells overflow a 64-bit sum; 2**61 cells fit an
+    # index but not a float array's byte count
+    net = build_roundabout(0.5, 0.5, 0.1, 0.1)
+    for arc, n in zip(net.arcs, counts):
+        arc.n_cells = n
+    total = sum(a.n_cells for a in net.arcs)
+    assert f"network has {total} cells, more than an array can index" in net.validate()
+
+
 def test_validate_survives_a_junction_without_incoming_arcs():
     net = build_roundabout(0.5, 0.5, 0.1, 0.1)
     net.junction("J2").incoming = []

@@ -22,6 +22,8 @@ from tagflow.simulate import (
     dynamic_exit_coefficients,
 )
 
+from tagflow.bench import build_diamond_chain
+
 from helpers import random_network, riemann_l1_error, single_arc_network
 
 UNIT = FluxModel()
@@ -41,7 +43,7 @@ def test_init_state_empty_with_first_arrival_splits():
     assert state.time == 0.0
     assert state.step_count == 0
     assert sim.total_mass(state) == 0.0
-    np.testing.assert_allclose(state.coefficients["J2"][:, 0], [0.5, 0.5])
+    np.testing.assert_allclose(state.exit_splits[0], [0.5, 0.5])
     assert state.phi is not None
     assert np.all((state.phi >= 0.0) & (state.phi <= 1.0))
     assert np.all(state.rho == 0.0)
@@ -373,6 +375,108 @@ def test_run_samples_are_regular_and_complete():
     np.testing.assert_allclose(res.times, [0.0, 1.0, 2.0, 3.0], atol=1e-6)
     assert res.density is not None
     assert res.density.shape == (4, 20)
+
+
+def exit_listed_second_roundabout(cells_per_arc):
+    """Roundabout whose J2 lists its exit arc second; J4 exits the
+    unmarked class (exit_tracer 0) as in every roundabout."""
+    net = build_roundabout(0.4, 0.6, 0.1, 0.12, cells_per_arc)
+    j2 = net.junction("J2")
+    swapped = Junction(
+        "J2",
+        j2.incoming,
+        j2.outgoing[::-1],
+        j2.distribution[::-1],
+        coefficient_mode="dynamic",
+        exit_arc=j2.exit_arc,
+        exit_tracer=j2.exit_tracer,
+    )
+    junctions = [swapped if j.id == "J2" else j for j in net.junctions]
+    return Network(net.model, net.arcs, junctions, net.boundary_conditions)
+
+
+def test_exit_splits_follow_the_scalar_rule_bitwise():
+    net = exit_listed_second_roundabout(10)
+    assert net.junction("J2").outgoing.index("S3") == 1
+    assert net.junction("J4").exit_tracer == 0.0
+    sim = Simulator(net)
+    dynamic = [j for j in net.junctions if j.coefficient_mode == "dynamic"]
+    assert [j.id for j in dynamic] == ["J2", "J4"]
+    state = sim.init_state()
+    dt = sim.stable_dt(0.5)
+    gated = updated = 0
+    for _ in range(300):
+        snap = sim.compute_fluxes(state)
+        new = sim.step(state, dt)
+        for row, junc in enumerate(dynamic):
+            arriving = snap.fluxes[sim.arc_last_iface[sim.arc_ids.index(junc.incoming[0])]]
+            donor = sim.cells(state.phi, junc.incoming[0])[-1]
+            expected = dynamic_exit_coefficients(junc, arriving, donor, state.exit_splits[row])
+            assert new.exit_splits[row].tobytes() == expected.tobytes()
+            if arriving < EPS_FLUX:
+                gated += 1
+            else:
+                updated += 1
+        state = new
+    assert gated > 0 and updated > 0
+    # both classes leave: the splits moved away from their first-arrival value
+    assert not np.array_equal(state.exit_splits, sim.init_state().exit_splits)
+
+
+def test_exit_listed_second_reaches_the_closed_form():
+    alpha, beta, rho1, rho2 = 0.4, 0.6, 0.1, 0.12
+    res = Simulator(exit_listed_second_roundabout(20)).run(SimConfig(t_end=80.0))
+    f1, f2 = UNIT.flux(rho1), UNIT.flux(rho2)
+    expected = equilibrium_coefficients(alpha, beta, f1, f2)
+    # J2's column is in outgoing order (S2C, S3): the closed form reversed
+    np.testing.assert_allclose(res.coefficients["J2"][-1][:, 0], expected["J2"][::-1], atol=1e-6)
+    np.testing.assert_allclose(res.coefficients["J4"][-1][:, 0], expected["J4"], atol=1e-6)
+    for arc, value in equilibrium_fluxes(alpha, beta, f1, f2).items():
+        assert res.summary["final_fluxes"][arc] == pytest.approx(value, abs=1e-8)
+
+
+@pytest.mark.parametrize("t_end, interval", [(100.0, 0.25), (5.1, 0.25), (3.0, 0.1), (2.0, 0.3)])
+def test_sample_times_lie_exactly_on_the_grid(t_end, interval):
+    # dt = 0.01 divides every interval, so each sample falls on a step end
+    net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=50)
+    res = Simulator(net).run(SimConfig(t_end=t_end, sample_interval=interval))
+    n = math.floor(t_end / interval + 1e-9) + 1
+    grid = [j * interval for j in range(n)]
+    if abs(grid[-1] - t_end) <= 1e-9:
+        grid[-1] = t_end
+    else:
+        grid.append(t_end)
+    assert res.times.tolist() == grid
+    assert res.summary["t_end"] == t_end
+    for t_first, _ in res.first_arrival_coefficients.values():
+        assert t_first == round(t_first / 0.01) * 0.01
+
+
+def test_off_grid_samples_carry_their_own_time():
+    # dt = 0.01 does not divide 0.015: each sample is the first step end
+    # at or after j * 0.015, and says so
+    net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=50)
+    res = Simulator(net).run(SimConfig(t_end=0.1, sample_interval=0.015))
+    np.testing.assert_allclose(res.times, [0.0, 0.02, 0.03, 0.05, 0.06, 0.08, 0.09, 0.1], atol=1e-15)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 1000, 5000])
+def test_run_takes_exactly_the_steps_that_fit(steps):
+    sim = Simulator(build_diamond_chain(4, 3))
+    dt = sim.stable_dt(0.5)
+    res = sim.run(SimConfig(t_end=steps * dt, record_profiles=False))
+    assert res.summary["steps"] == steps
+    assert res.summary["t_end"] == steps * dt
+    assert res.times[-1] == steps * dt
+
+
+def test_off_grid_t_end_takes_one_short_last_step():
+    sim = Simulator(build_diamond_chain(4, 3))
+    dt = sim.stable_dt(0.5)
+    res = sim.run(SimConfig(t_end=10.5 * dt, record_profiles=False))
+    assert res.summary["steps"] == 11
+    assert res.summary["t_end"] == 10.5 * dt
+    assert res.summary["mass_residual"] <= 1e-12
 
 
 def test_merge_within_column_tolerance_skips_the_lp(monkeypatch):

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes are a stable contract: 0 success, 2 invalid input (bad
-arguments, unreadable files, schema or network violations), 3 runtime
-failure (simulation blow-up, unwritable output).
+arguments, unreadable files, schema or network violations, runs longer
+than MAX_STEPS steps), 3 runtime failure (simulation blow-up,
+unwritable output).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 import sys
 
 from .bench import run_bench
-from .junctions import JunctionLPError
 from .network import build_roundabout
 from .output import write_timeseries
 from .scenario import ScenarioError, parse_scenario, write_scenario
@@ -104,7 +104,10 @@ def _report_run(result) -> None:
 def _run_and_write(net, config, out_dir: str) -> int:
     try:
         result = Simulator(net).run(config)
-    except (SimulationError, JunctionLPError) as exc:
+    except ValueError as exc:  # more steps than MAX_STEPS
+        print(f"cannot run: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_FAILURE
     except MemoryError:
@@ -160,6 +163,9 @@ def _cmd_bench(args) -> int:
         return EXIT_INVALID_INPUT
     try:
         report = run_bench(args.arcs, args.cells, args.steps)
+    except ValueError as exc:  # more steps than MAX_STEPS
+        print(f"cannot run: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     except MemoryError:
         print("benchmark exhausted memory", file=sys.stderr)
         return EXIT_RUNTIME_FAILURE

@@ -10,21 +10,19 @@ Two junction kinds have closed forms (Coclite, Garavello & Piccoli,
 SIAM J. Math. Anal. 36, 2005): a diverge (one incoming arc) admits the
 largest flux every routed share fits, and a merge (one outgoing arc
 taking every incoming arc whole) waterfills the shared supply in
-priority order.  Anything else is "general": its feasible set is a
-polytope of dimension n_in, so the right-of-way winner is one of its
-vertices, and general enumerates them all (Garavello & Piccoli,
-Traffic Flow on Networks, AIMS 2006).  classify names a junction's
-kind; diverge, merge and general each solve a whole batch of one kind
-and shape at once, and the simulator calls them on stacked junctions.
-Only general junctions with more than three incoming arcs still go
-through an LP, one junction at a time, with a lexicographic refinement
-pass for the priority selection.
+priority order.  Anything else is "general": general solves its linear
+program (Garavello & Piccoli, Traffic Flow on Networks, AIMS 2006) by a
+batched bounded-variable simplex, lexicographically in priority order,
+whatever the junction's in- and out-degree.  classify names a
+junction's kind; diverge, merge and general each solve a whole batch of
+one kind and shape at once, and the simulator calls them on stacked
+junctions.  _lp_solve, which runs scipy's linprog, and
+brute_force_solve are reference oracles for the tests; no simulation
+calls them.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,6 @@ from .network import _COLUMN_TOL
 __all__ = [
     "JunctionProblem",
     "JunctionFluxSolution",
-    "JunctionLPError",
     "classify",
     "diverge",
     "general",
@@ -44,22 +41,16 @@ __all__ = [
     "brute_force_solve",
 ]
 
-# Slack when testing grid points and vertices for feasibility.
+# Slack when testing grid points for feasibility.
 _FEAS_TOL = 1e-12
 # Slack separating ties: of the objective in the brute-force search, of
-# each arc's grant in the right-of-way pass of general.
+# the reduced costs in the simplex of general.
 _TIE_TOL = 1e-9
-# Largest in-degree whose vertices general enumerates; beyond it, the LP.
-_VERTEX_MAX_IN = 3
-# Throughput a general junction may give up, relative to max(1, best
+# Tableau entries this small are zero in the simplex's ratio test.
+_PIVOT_TOL = 1e-12
+# Throughput the LP oracle may give up, relative to max(1, best
 # total), for a better right-of-way outcome.
 _TOTAL_SLACK = 1e-8
-# |det| below which a choice of active constraints meets in no vertex.
-_SINGULAR_TOL = 1e-12
-
-
-class JunctionLPError(RuntimeError):
-    """The LP for a general junction with many incoming arcs failed."""
 
 
 @dataclass(frozen=True)
@@ -176,77 +167,101 @@ def merge(demands: np.ndarray, supplies: np.ndarray) -> np.ndarray:
     return gamma
 
 
-@functools.cache
-def _vertex_rows(n_in: int, n_out: int) -> np.ndarray:
-    """(K, n_in) choices of n_in active rows of the stacked constraints.
-
-    The rows are [-I; I; A] against [0; d; s], one candidate vertex per
-    choice.  A choice holding both bounds of one arc is singular
-    whatever A is, so it is left out here rather than masked per call.
-    """
-    rows = [
-        chosen
-        for chosen in itertools.combinations(range(2 * n_in + n_out), n_in)
-        if not any(i in chosen and i + n_in in chosen for i in range(n_in))
-    ]
-    table = np.array(rows, dtype=np.intp)
-    table.flags.writeable = False
-    return table
-
-
 def general(demands: np.ndarray, supplies: np.ndarray, distribution: np.ndarray) -> np.ndarray:
     """Admitted flux (B, n_in) of B general junctions of one shape.
 
     demands (B, n_in) are in priority order, supplies are (B, n_out)
     and distribution is (B, n_out, n_in) with its columns in the same
-    order.  Every vertex of {0 <= gamma <= d, A gamma <= s} is solved
-    for at once; among the feasible ones within the LP's relaxed-total
-    slack of the best total, each incoming arc in turn keeps only the
-    vertices that grant it the most.  The origin is always a feasible
-    vertex, so some vertex always wins.  Junctions with more than three
-    incoming arcs are solved one by one through the LP instead.
+    order.  A bounded-variable primal simplex (Chvatal, Linear
+    Programming, 1983, ch. 8) solves every junction in lockstep from
+    the origin, which is always feasible: 0 <= gamma <= d are bounds,
+    and A gamma + w = s, with slacks w >= 0, are the n_out rows of each
+    junction's tableau.  The first stage maximizes the total.  Each
+    later stage fixes every nonbasic variable whose reduced cost is
+    nonzero, which keeps the earlier stages' optima, and maximizes the
+    next incoming arc in priority order.  Bland's rule picks the
+    entering and leaving variables, so no stage cycles.  Every
+    operation acts on one junction's own entries, so a junction's
+    answer does not depend on the batch it is solved in.
     """
     n_batch, n_in = demands.shape
     n_out = supplies.shape[1]
-    if n_in > _VERTEX_MAX_IN:
-        descending = np.arange(n_in, 0, -1, dtype=float)
-        return np.stack(
-            [
-                _lp_solve(JunctionProblem(d, s, a, descending)).gamma_in
-                for d, s, a in zip(demands, supplies, distribution)
-            ]
+    n_var = n_in + n_out
+    upper = np.concatenate([demands, np.full_like(supplies, np.inf)], axis=1)
+    value = np.concatenate([np.zeros_like(demands), supplies], axis=1)
+    # rows B^-1 [A I], then the reduced costs of the current stage
+    tableau = np.zeros((n_batch, n_out + 1, n_var))
+    tableau[:, :n_out, :n_in] = distribution
+    tableau[:, np.arange(n_out), n_in + np.arange(n_out)] = 1.0
+    basis = np.tile(np.arange(n_in, n_var), (n_batch, 1))
+    # nonbasic and not fixed: the variables that may enter
+    free = np.tile(np.arange(n_var) < n_in, (n_batch, 1))
+    # the total first, then each incoming arc in priority order; an arc
+    # no junction demands anything of (padding, say) never moves, so its
+    # stage would change nothing
+    stages = np.vstack([np.eye(n_in, n_var).sum(axis=0), np.eye(n_in, n_var)])
+    for cost in stages[np.r_[True, demands.any(axis=0)]]:
+        reduced = tableau[:, n_out]
+        reduced[:] = cost
+        for k in range(n_out):
+            reduced -= cost[basis[:, k], None] * tableau[:, k]
+        _climb(tableau, basis, free, value, upper)
+        free &= np.abs(reduced) <= _TIE_TOL
+    return np.clip(value[:, :n_in], 0.0, demands)
+
+
+def _climb(tableau, basis, free, value, upper) -> None:
+    """Pivot each junction until its cost row has no improving move, in place.
+
+    A nonbasic variable sits at a bound, and a free one may enter when
+    its reduced cost beyond _TIE_TOL points away from that bound.  It
+    moves until a basic variable reaches a bound, which then leaves the
+    basis, or until it reaches its own other bound.
+    """
+    n_out = basis.shape[1]
+    n_var = value.shape[1]
+    reduced = tableau[:, n_out]
+    while True:
+        up = free & (reduced > _TIE_TOL) & (value < upper)
+        moves = up | (free & (reduced < -_TIE_TOL) & (value > 0.0))
+        rows = np.flatnonzero(moves.any(axis=1))
+        if rows.size == 0:
+            return
+        enter = moves[rows].argmax(axis=1)  # Bland: the lowest index
+        sign = np.where(up[rows, enter], 1.0, -1.0)
+        # how fast each basic variable falls as the entering one moves
+        rate = sign[:, None] * tableau[rows, :n_out, enter]
+        held = basis[rows]
+        current = value[rows[:, None], held]
+        top = upper[rows[:, None], held]
+        room = np.full(rate.shape, np.inf)
+        np.divide(np.maximum(current, 0.0), rate, out=room, where=rate > _PIVOT_TOL)
+        np.divide(np.maximum(top - current, 0.0), -rate, out=room, where=rate < -_PIVOT_TOL)
+        step = room.min(axis=1)
+        span = upper[rows, enter]
+        pivot = step < span  # else the entering variable reaches its other bound first
+        step = np.minimum(step, span)
+        value[rows[:, None], held] = current - step[:, None] * rate
+        value[rows, enter] += sign * step
+        if not pivot.any():
+            continue
+        rows, enter, held, room, rate, top, step = (
+            a[pivot] for a in (rows, enter, held, room, rate, top, step)
         )
-
-    rows = _vertex_rows(n_in, n_out)
-    eye = np.broadcast_to(np.eye(n_in), (n_batch, n_in, n_in))
-    lhs = np.concatenate([-eye, eye, distribution], axis=1)[:, rows]
-    rhs = np.concatenate([np.zeros_like(demands), demands, supplies], axis=1)[:, rows]
-    regular = np.abs(np.linalg.det(lhs)) > _SINGULAR_TOL
-    lhs[~regular] = np.eye(n_in)
-    vertex = np.linalg.solve(lhs, rhs[..., None])[..., 0]  # (B, K, n_in)
-
-    # sums are spelled out term by term so that a junction's answer
-    # does not depend on the batch it is solved in
-    feasible = regular & np.all(
-        (vertex >= -_FEAS_TOL) & (vertex <= demands[:, None, :] + _FEAS_TOL), axis=2
-    )
-    total = vertex[:, :, 0].copy()
-    for i in range(1, n_in):
-        total += vertex[:, :, i]
-    for j in range(n_out):
-        load = distribution[:, None, j, 0] * vertex[:, :, 0]
-        for i in range(1, n_in):
-            load += distribution[:, None, j, i] * vertex[:, :, i]
-        feasible &= load <= supplies[:, None, j] + _FEAS_TOL
-
-    total[~feasible] = -np.inf
-    best = total.max(axis=1, keepdims=True)
-    keep = total >= best - _TOTAL_SLACK * np.maximum(1.0, best)
-    for i in range(n_in):
-        granted = np.where(keep, vertex[:, :, i], -np.inf)
-        keep &= granted >= granted.max(axis=1, keepdims=True) - _TIE_TOL
-    winner = vertex[np.arange(n_batch), np.argmax(keep, axis=1)]
-    return np.clip(winner, 0.0, demands)
+        r = np.arange(rows.size)
+        # Bland: of the rows that bind first, the one whose basic
+        # variable has the lowest index leaves, exactly at its bound
+        leave = np.where(room == step[:, None], held, n_var).argmin(axis=1)
+        gone = held[r, leave]
+        value[rows, gone] = np.where(rate[r, leave] > 0.0, 0.0, top[r, leave])
+        free[rows, gone] = True
+        free[rows, enter] = False
+        basis[rows, leave] = enter
+        sub = tableau[rows]
+        pivot_row = sub[r, leave] / sub[r, leave, enter][:, None]
+        sub -= sub[r, :, enter][:, :, None] * pivot_row[:, None, :]
+        sub[r, leave] = pivot_row
+        tableau[rows] = sub
 
 
 def solve(p: JunctionProblem) -> JunctionFluxSolution:
@@ -275,8 +290,8 @@ def solve(p: JunctionProblem) -> JunctionFluxSolution:
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first call.
 
-    Only general junctions with more than three incoming arcs need it,
-    so a run without them never imports scipy.
+    Only the _lp_solve oracle calls it, so a simulation never imports
+    scipy.
     """
     from scipy.optimize import linprog as scipy_linprog
 
@@ -290,7 +305,11 @@ _LP_OPTIONS = {
 
 
 def _lp_solve(p: JunctionProblem) -> JunctionFluxSolution:
-    """LP for the total, then lexicographic maximization in priority order."""
+    """LP for the total, then lexicographic maximization in priority order.
+
+    The reference the tests hold general to; a RuntimeError says that
+    HiGHS failed on one of the stages.
+    """
     bounds = [(0.0, d) for d in p.demands]
     res = linprog(
         -np.ones(p.n_in),
@@ -300,7 +319,7 @@ def _lp_solve(p: JunctionProblem) -> JunctionFluxSolution:
         options=_LP_OPTIONS,
     )
     if not res.success:
-        raise JunctionLPError(f"junction LP failed: {res.message}")
+        raise RuntimeError(f"junction LP failed: {res.message}")
     best_total = -res.fun
 
     slack = _TOTAL_SLACK * max(1.0, best_total)
@@ -313,7 +332,7 @@ def _lp_solve(p: JunctionProblem) -> JunctionFluxSolution:
         c[i] = -1.0
         res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=_LP_OPTIONS)
         if not res.success:
-            raise JunctionLPError(f"junction LP refinement failed: {res.message}")
+            raise RuntimeError(f"junction LP refinement failed: {res.message}")
         gamma = res.x
         # pin as a slightly relaxed lower bound; an exact pin can render
         # the next stage infeasible at solver precision

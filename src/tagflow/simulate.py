@@ -40,6 +40,7 @@ from .network import Junction, Network
 __all__ = [
     "EPS_FLUX",
     "EPS_MASS",
+    "MAX_STEPS",
     "TRACER_PLACEHOLDER",
     "SimulationError",
     "SimConfig",
@@ -56,6 +57,11 @@ EPS_MASS = 1e-12
 # Arriving flux below which dynamic coefficients are left unchanged.
 EPS_FLUX = 1e-12
 TRACER_PLACEHOLDER = 0.5
+# Most time steps one run may take.  Simulator.run refuses a longer run
+# before its first step: at tens of microseconds per step or more, 10^8
+# steps already take hours, and a tiny arc or a huge t_end can ask for
+# more steps than the clock can count.
+MAX_STEPS = 10**8
 
 _DENSITY_SLACK = 1e-12
 _TRACER_SLACK = 1e-9
@@ -154,14 +160,19 @@ class RunResult:
 
 @dataclass
 class _JunctionGroup:
-    """Junctions of one (kind, n_in, n_out), stacked one per row.
+    """Junctions stacked one per row: diverges and merges of one
+    (n_in, n_out), or every general junction.
 
     The cell and interface arrays are (B, n_in) and (B, n_out), with
-    incoming columns in priority order.  split is the current (B, n_out)
-    routing of a diverge group; its row dynamic[k] is exit_splits[k].
-    Dynamic junctions are all one-in, two-out diverges, so they share
-    one group, the only one whose dynamic is not None.  distribution is
-    the (B, n_out, n_in) routing of a general group, in priority order.
+    incoming columns in priority order.  The general group is padded to
+    its widest junction; in_real and out_real are True at the real arcs,
+    and the padding points at arc 0, so it must be masked out of every
+    write.  split is the current (B, n_out) routing of a diverge group;
+    its row dynamic[k] is exit_splits[k].  Dynamic junctions are all
+    one-in, two-out diverges, so they share one group, the only one
+    whose dynamic is not None.  distribution is the (B, n_out, n_in)
+    routing of the general group, in priority order and zero in the
+    padding.
     """
 
     kind: str
@@ -169,6 +180,8 @@ class _JunctionGroup:
     in_iface: np.ndarray
     out_cell: np.ndarray
     out_iface: np.ndarray
+    in_real: np.ndarray
+    out_real: np.ndarray
     split: np.ndarray | None = None
     dynamic: np.ndarray | None = None
     distribution: np.ndarray | None = None
@@ -235,13 +248,12 @@ class Simulator:
     """Stepping engine bound to one validated network.
 
     Construction flattens all arcs into one cell array and stacks
-    junctions of one (kind, n_in, n_out) into a group, and each group is
-    solved in one batched call per step: junctions.diverge and
-    junctions.merge in closed form, junctions.general by enumerating
-    vertices (or, past three incoming arcs, through its LP fallback one
-    junction at a time).  Instances hold no per-run state and may be
-    shared across runs, but one SimState must only ever be advanced by
-    one thread at a time.
+    junctions into groups, each solved in one batched call per step:
+    diverges and merges of one (n_in, n_out) by junctions.diverge and
+    junctions.merge in closed form, and every general junction, padded
+    to the widest, by one junctions.general simplex.  Instances hold no
+    per-run state and may be shared across runs, but one SimState must
+    only ever be advanced by one thread at a time.
     """
 
     def __init__(self, net: Network):
@@ -321,28 +333,38 @@ class Simulator:
         members: dict[tuple[str, int, int], list] = {}
         self._diagnostics = []
         for junc in self.net.junctions:
-            in_arcs = np.array([idx[a] for a in junc.incoming], dtype=np.intp)
-            out_arcs = np.array([idx[a] for a in junc.outgoing], dtype=np.intp)
+            in_arcs = [idx[a] for a in junc.incoming]
+            out_arcs = [idx[a] for a in junc.outgoing]
             self._diagnostics.append(
                 (junc.id, self.arc_last_iface[in_arcs], self.arc_first_iface[out_arcs])
             )
             kind = _junctions.classify(junc.distribution)
             if kind != "diverge":
-                in_arcs = in_arcs[_junctions.priority_order(junc.priority)]
-            key = (kind, in_arcs.size, out_arcs.size)
+                in_arcs = [in_arcs[i] for i in _junctions.priority_order(junc.priority)]
+            # one simplex call solves general junctions of every shape
+            key = (kind, 0, 0) if kind == "general" else (kind, len(in_arcs), len(out_arcs))
             members.setdefault(key, []).append((junc, in_arcs, out_arcs))
+
+        def padded(lists):
+            """(B, widest) arc indices, padded with arc 0, and the real-arc mask."""
+            lengths = [len(arcs) for arcs in lists]
+            width = max(lengths)
+            table = np.array([arcs + [0] * (width - len(arcs)) for arcs in lists], dtype=np.intp)
+            return table, np.arange(width) < np.array(lengths)[:, None]
 
         self._groups: list[_JunctionGroup] = []
         for (kind, _, _), rows in members.items():
             juncs = [j for j, _, _ in rows]
-            ins = np.stack([i for _, i, _ in rows])
-            outs = np.stack([o for _, _, o in rows])
+            ins, in_real = padded([i for _, i, _ in rows])
+            outs, out_real = padded([o for _, _, o in rows])
             group = _JunctionGroup(
                 kind=kind,
                 in_cell=self._arc_last_cell[ins],
                 in_iface=self.arc_last_iface[ins],
                 out_cell=self._arc_first_cell[outs],
                 out_iface=self.arc_first_iface[outs],
+                in_real=in_real,
+                out_real=out_real,
             )
             if kind == "diverge":
                 group.split = np.stack([j.distribution[:, 0] for j in juncs])
@@ -350,9 +372,11 @@ class Simulator:
                 if rows:
                     group.dynamic = np.array(rows, dtype=np.intp)
             elif kind == "general":
-                group.distribution = np.stack(
-                    [j.distribution[:, _junctions.priority_order(j.priority)] for j in juncs]
-                )
+                group.distribution = np.zeros((len(juncs), outs.shape[1], ins.shape[1]))
+                for row, j in enumerate(juncs):
+                    n_out, n_in = j.distribution.shape
+                    order = _junctions.priority_order(j.priority)
+                    group.distribution[row, :n_out, :n_in] = j.distribution[:, order]
             self._groups.append(group)
 
         # dynamic exits (one in, two out), flat: entry, exit and other outlet
@@ -377,8 +401,8 @@ class Simulator:
         for arr in (self._int_iface, self._src_iface, self._snk_iface):
             np.add.at(cover, arr, 1)
         for g in self._groups:
-            np.add.at(cover, g.in_iface, 1)
-            np.add.at(cover, g.out_iface, 1)
+            np.add.at(cover, g.in_iface[g.in_real], 1)
+            np.add.at(cover, g.out_iface[g.out_real], 1)
         if not np.all(cover == 1):
             raise AssertionError("internal layout error: interface not covered exactly once")
 
@@ -447,9 +471,11 @@ class Simulator:
                 F[g.in_iface] = gamma
                 F[g.out_iface[:, 0]] = gamma.sum(axis=1)
             else:
-                gamma = _junctions.general(d, s, g.distribution)
-                F[g.in_iface] = gamma
-                F[g.out_iface] = np.einsum("bji,bi->bj", g.distribution, gamma)
+                # zero demand keeps the padding out of the simplex
+                gamma = _junctions.general(d * g.in_real, s, g.distribution)
+                F[g.in_iface[g.in_real]] = gamma[g.in_real]
+                routed = np.einsum("bji,bi->bj", g.distribution, gamma)
+                F[g.out_iface[g.out_real]] = routed[g.out_real]
 
         Fphi = self._tracer_fluxes(state, F) if state.phi is not None else None
         return FluxSnapshot(
@@ -474,16 +500,18 @@ class Simulator:
 
         for g in self._groups:
             per_in = F[g.in_iface] * phi[g.in_cell]
-            Fphi[g.in_iface] = per_in
             if g.kind == "diverge":
+                Fphi[g.in_iface] = per_in
                 # static splits mix; dynamic exits sort by destination below
                 Fphi[g.out_iface] = g.split * per_in
             elif g.kind == "merge":
+                Fphi[g.in_iface] = per_in
                 Fphi[g.out_iface[:, 0]] = per_in.sum(axis=1)
             else:
-                Fphi[g.out_iface] = np.minimum(
-                    np.einsum("bji,bi->bj", g.distribution, per_in), F[g.out_iface]
-                )
+                # padded columns carry garbage, but their routing is zero
+                Fphi[g.in_iface[g.in_real]] = per_in[g.in_real]
+                mixed = np.minimum(np.einsum("bji,bi->bj", g.distribution, per_in), F[g.out_iface])
+                Fphi[g.out_iface[g.out_real]] = mixed[g.out_real]
 
         if self._dyn_junctions:
             m = F[self._dyn_in_iface] * phi[self._dyn_in_cell]
@@ -608,9 +636,14 @@ class Simulator:
         The clock counts steps, times within 1e-9 dt being equal: step k
         ends at (k + 1) * dt, the last at t_end.  Sample j is the first
         state at or after j * sample_interval, and carries that time
-        when a step ends there.
+        when a step ends there.  A run of more than MAX_STEPS steps is
+        refused with a ValueError before the first step.
         """
         dt = self.stable_dt(config.cfl_number)
+        if not dt * MAX_STEPS >= config.t_end:  # also when dt underflowed to 0
+            raise ValueError(
+                f"t_end={config.t_end:g} needs more than {MAX_STEPS} steps of dt={dt:.3g}"
+            )
         eps = 1e-9 * dt
         n_steps = max(1, math.ceil(config.t_end / dt - 1e-9))
         last_dt = config.t_end - (n_steps - 1) * dt  # short when t_end is off the step grid

@@ -6,7 +6,7 @@ from tagflow.cli import EXIT_INVALID_INPUT, EXIT_OK, EXIT_RUNTIME_FAILURE, main
 from tagflow.flux import FluxModel
 from tagflow.network import Arc, BoundaryCondition, Junction, Network, build_roundabout
 from tagflow.scenario import write_scenario
-from tagflow.simulate import SimConfig
+from tagflow.simulate import MAX_STEPS, SimConfig, Simulator
 
 
 @pytest.fixture
@@ -108,9 +108,7 @@ def test_run_unwritable_destination_is_runtime_failure(scenario_file, tmp_path, 
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_failed_junction_lp_is_runtime_failure(tmp_path, monkeypatch, capsys):
-    # four incoming arcs are past the vertex solver, so this junction
-    # still goes through the LP, which is made to fail here
+def test_four_incoming_arcs_run_without_the_lp(tmp_path, monkeypatch, capsys):
     class Failed:
         success = False
         message = "stand-in failure"
@@ -129,11 +127,8 @@ def test_failed_junction_lp_is_runtime_failure(tmp_path, monkeypatch, capsys):
     scenario = tmp_path / "four_in.json"
     scenario.write_text(write_scenario(net, SimConfig(t_end=1.0, sample_interval=0.5)))
     code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
-    assert code == EXIT_RUNTIME_FAILURE
-    err = capsys.readouterr().err
-    assert "junction LP failed: stand-in failure" in err
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_bench_command_reports(capsys):
@@ -145,6 +140,42 @@ def test_bench_command_reports(capsys):
 
 def test_bench_rejects_bad_parameters(capsys):
     assert main(["bench", "--arcs", "0", "--cells", "5", "--steps", "3"]) == EXIT_INVALID_INPUT
+
+
+def _refused_before_the_first_step(argv, monkeypatch, capsys):
+    def no_step(self, state):
+        raise AssertionError("a run too long to take took a step")
+
+    monkeypatch.setattr(Simulator, "compute_fluxes", no_step)
+    assert main(argv) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert f"more than {MAX_STEPS} steps" in err
+
+
+def test_run_refuses_an_arc_too_short_to_finish(scenario_file, tmp_path, monkeypatch, capsys):
+    data = json.loads(scenario_file.read_text())
+    data["arcs"][0]["a"], data["arcs"][0]["b"] = 0.0, 1e-300
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(data))
+    assert main(["validate", str(tiny)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    _refused_before_the_first_step(["run", str(tiny), "--out", str(out)], monkeypatch, capsys)
+    assert not out.exists()
+
+
+def test_roundabout_refuses_a_t_end_too_far_to_reach(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = ["roundabout", "--cells", "8", "--t-end", "1e300", "--out", str(out)]
+    _refused_before_the_first_step(argv, monkeypatch, capsys)
+    assert not out.exists()
+
+
+def test_bench_refuses_more_steps_than_a_run_may_take(monkeypatch, capsys):
+    argv = ["bench", "--arcs", "4", "--cells", "3", "--steps", str(MAX_STEPS + 1)]
+    _refused_before_the_first_step(argv, monkeypatch, capsys)
 
 
 def test_scenario_command_round_trips(capsys):

@@ -6,15 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tagflow.junctions import (
+    _LP_OPTIONS,
+    _TOTAL_SLACK,
     JunctionFluxSolution,
     JunctionProblem,
+    _finish,
     _lp_solve,
     brute_force_solve,
     classify,
     diverge,
     general,
+    linprog,
     merge,
     priority_order,
     solve,
@@ -240,53 +245,153 @@ def _general_batch(rng, n_in, n_out, size):
 
 
 # _lp_solve pins each settled arc 1e-9 below its value before the next
-# stage, so its answer may sit that far, plus rounding, from the vertex
+# stage, so its answer may sit that far, plus rounding, from the optimum
 _LP_PIN = 1e-9 + 1e-15
+
+
+def _block_lp(demands, supplies, distribution, priority):
+    """_lp_solve's stages for many problems at once, before _finish.
+
+    The problems are the blocks of one block-diagonal LP.  Maximizing
+    the sum of all totals maximizes each block's total, and each later
+    stage maximizes the sum of every block's arc of that rank, pinning
+    it as _lp_solve does.  A RuntimeError says that HiGHS failed.
+    """
+    n, n_in = demands.shape
+    routing = sparse.block_diag(list(distribution), format="csr")
+    bounds = np.column_stack([np.zeros(n * n_in), demands.ravel()])
+    res = linprog(
+        -np.ones(n * n_in), A_ub=routing, b_ub=supplies.ravel(), bounds=bounds, options=_LP_OPTIONS
+    )
+    if not res.success:
+        raise RuntimeError(res.message)
+    best = res.x.reshape(n, n_in).sum(axis=1)
+    a_ub = sparse.vstack([routing, sparse.block_diag([-np.ones((1, n_in))] * n)], format="csr")
+    b_ub = np.concatenate([supplies.ravel(), -(best - _TOTAL_SLACK * np.maximum(1.0, best))])
+    ranks = np.array([priority_order(p) for p in priority]) + n_in * np.arange(n)[:, None]
+    for picked in ranks.T:
+        c = np.zeros(n * n_in)
+        c[picked] = -1.0
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=_LP_OPTIONS)
+        if not res.success:
+            raise RuntimeError(res.message)
+        bounds[picked, 0] = np.maximum(0.0, res.x[picked] - 1e-9)
+    return res.x.reshape(n, n_in)
+
+
+def _lp_oracle(demands, supplies, distribution, priority, chunk=100):
+    """gamma_in of _lp_solve for every problem, a chunk per block LP.
+
+    HiGHS fails on some large block LPs that it solves one problem at
+    a time, so a chunk it fails on is solved one problem at a time.  A
+    problem it fails on alone gets a row of NaN.
+    """
+    gamma = np.empty_like(demands)
+    for start in range(0, len(demands), chunk):
+        part = slice(start, start + chunk)
+        problems = [
+            JunctionProblem(*args)
+            for args in zip(demands[part], supplies[part], distribution[part], priority[part])
+        ]
+        try:
+            raw = _block_lp(demands[part], supplies[part], distribution[part], priority[part])
+        except RuntimeError:
+            for row, p in enumerate(problems, start):
+                try:
+                    gamma[row] = _lp_solve(p).gamma_in
+                except RuntimeError:
+                    gamma[row] = np.nan
+        else:
+            gamma[part] = [_finish(p, g).gamma_in for p, g in zip(problems, raw)]
+    return gamma
+
+
+def _max_total(demands, supplies, distribution):
+    """The largest total of one problem, from a single LP."""
+    res = linprog(
+        -np.ones(demands.size),
+        A_ub=distribution,
+        b_ub=supplies,
+        bounds=np.column_stack([np.zeros(demands.size), demands]),
+        options=_LP_OPTIONS,
+    )
+    assert res.success
+    return -res.fun
+
+
+def _compare_with_the_lp(rng, n_in, n_out, size, pin):
+    demands, supplies, distribution, priority = _general_batch(rng, n_in, n_out, size)
+    order = np.array([priority_order(p) for p in priority])
+    rows = np.arange(len(order))[:, None]
+    ranked_d = demands[rows, order]
+    ranked_a = np.take_along_axis(distribution, order[:, None, :], axis=2)
+    ranked = general(ranked_d, supplies, ranked_a)
+    gamma = np.empty_like(ranked)
+    gamma[rows, order] = ranked
+
+    assert np.all(gamma >= 0.0) and np.all(gamma <= demands)
+    assert np.all(np.einsum("bji,bi->bj", distribution, gamma) <= supplies + 1e-12)
+    lp = _lp_oracle(demands, supplies, distribution, priority)
+    for b in range(len(gamma)):
+        shape = f"{n_in}x{n_out} problem {b}"
+        alone = general(ranked_d[b : b + 1], supplies[b : b + 1], ranked_a[b : b + 1])
+        assert np.array_equal(alone[0], ranked[b]), shape
+        gap = gamma[b].sum() - lp[b].sum()
+        # the LP may give up up to its 1e-8 relaxed-total slack for
+        # priority; the simplex never admits less than the LP
+        if not -1e-12 <= gap <= 2e-8:
+            # only where the oracle broke: HiGHS failed (NaN), or _finish
+            # scaled a hair of excess over a tiny supply out of every arc
+            # and gave up more than the slack; one LP still gives the total
+            best = _max_total(demands[b], supplies[b], distribution[b])
+            assert not lp[b].sum() >= best - _TOTAL_SLACK * max(1.0, best), shape
+            assert abs(gamma[b].sum() - best) <= 1e-12, shape
+        elif abs(gap) <= 1e-12:
+            assert np.max(np.abs(gamma[b] - lp[b])) <= pin, shape
 
 
 def test_general_kernel_against_the_lp():
     rng = np.random.default_rng(31)
     for n_in, n_out in itertools.product((2, 3), (2, 3)):
-        demands, supplies, distribution, priority = _general_batch(rng, n_in, n_out, 2500)
-        order = np.array([priority_order(p) for p in priority])
-        rows = np.arange(len(order))[:, None]
-        ranked_d = demands[rows, order]
-        ranked_a = np.take_along_axis(distribution, order[:, None, :], axis=2)
-        ranked = general(ranked_d, supplies, ranked_a)
-        gamma = np.empty_like(ranked)
-        gamma[rows, order] = ranked
-
-        assert np.all(gamma >= 0.0) and np.all(gamma <= demands)
-        assert np.all(np.einsum("bji,bi->bj", distribution, gamma) <= supplies + 1e-12)
-        for b in range(len(gamma)):
-            shape = f"{n_in}x{n_out} problem {b}"
-            alone = general(ranked_d[b : b + 1], supplies[b : b + 1], ranked_a[b : b + 1])
-            assert np.array_equal(alone[0], ranked[b]), shape
-            lp = _lp_solve(
-                JunctionProblem(demands[b], supplies[b], distribution[b], priority[b])
-            ).gamma_in
-            gap = gamma[b].sum() - lp.sum()
-            # the LP may give up up to its 1e-8 relaxed-total slack for
-            # priority; the vertex never admits less than the LP
-            assert -1e-12 <= gap <= 2e-8, shape
-            if abs(gap) <= 1e-12:
-                assert np.max(np.abs(gamma[b] - lp)) <= _LP_PIN, shape
+        _compare_with_the_lp(rng, n_in, n_out, 2500, _LP_PIN)
 
 
-_ROUNDABOUT_WITHOUT_SCIPY = """
+def test_general_kernel_against_the_lp_past_three_incoming_arcs():
+    rng = np.random.default_rng(31)
+    for n_in, n_out in ((4, 2), (8, 3)):
+        # each of the n_in - 1 arcs settled before the last may be
+        # pinned 1e-9 low, and a later arc may take up what they leave
+        _compare_with_the_lp(rng, n_in, n_out, 500, (n_in - 1) * _LP_PIN)
+
+
+def test_sixteen_incoming_arcs_where_the_lp_refinement_fails():
+    # HiGHS calls a refinement stage of this problem infeasible, so
+    # _lp_solve raises on it; general must solve it all the same
+    demands, supplies, distribution, priority = _general_batch(np.random.default_rng(233), 16, 4, 1)
+    order = priority_order(priority[0])
+    d, s, a = demands[0, order], supplies[0], distribution[0][:, order]
+    gamma = general(d[None], s[None], a[None])[0]
+    assert np.all(gamma >= 0.0) and np.all(gamma <= d)
+    assert np.all(a @ gamma <= s + 1e-12)
+    assert abs(gamma.sum() - _max_total(d, s, a)) <= 1e-12
+
+
+_RUNS_WITHOUT_SCIPY = """
 import sys
 import tagflow
+from helpers import hub_network
 net = tagflow.build_roundabout(0.5, 0.5, 0.1, 0.1, cells_per_arc=5)
 tagflow.Simulator(net).run(tagflow.SimConfig(t_end=2.0))
+tagflow.Simulator(hub_network(16, 4)).run(tagflow.SimConfig(t_end=2.0))
 print("scipy" in sys.modules)
 """
 
 
-def test_scipy_is_imported_only_for_the_lp():
-    src = Path(__file__).resolve().parent.parent / "src"
+def test_a_run_never_imports_scipy():
+    here = Path(__file__).resolve().parent
     done = subprocess.run(
-        [sys.executable, "-c", _ROUNDABOUT_WITHOUT_SCIPY],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, "-c", _RUNS_WITHOUT_SCIPY],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)])),
         capture_output=True,
         text=True,
         check=True,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tagflow.flux import FluxModel
+from tagflow.junctions import general, priority_order
 from tagflow.network import (
     Arc,
     BoundaryCondition,
@@ -24,7 +25,7 @@ from tagflow.simulate import (
 
 from tagflow.bench import build_diamond_chain
 
-from helpers import random_network, riemann_l1_error, single_arc_network
+from helpers import hub_network, random_network, riemann_l1_error, single_arc_network
 
 UNIT = FluxModel()
 RHO_BAR_01 = (1.0 - math.sqrt(0.6)) / 2.0  # unit-model density with flux 0.1
@@ -545,22 +546,31 @@ def test_general_junctions_skip_the_lp(monkeypatch):
     assert np.all(sim.arc_boundary_fluxes(snap) > 0.0)
 
 
-def test_four_incoming_arcs_fall_back_to_the_lp(monkeypatch):
-    from scipy.optimize import linprog
+def test_every_in_degree_steps_without_the_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a simulation reached the junction LP")
 
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr("tagflow.junctions.linprog", counted)
-    sim = Simulator(ladder_network((2, 4, 2)))  # a 2x4 and a 4x2 junction
+    monkeypatch.setattr("tagflow.junctions.linprog", no_lp)
+    # a 2x4, a 4x2 and a 16x4 junction, all in one padded general group
+    sim = Simulator(hub_network(16, 4, seed=5, upstream=ladder_network((2, 4, 2))))
+    column = {arc_id: k for k, arc_id in enumerate(sim.arc_ids)}
     state = sim.init_state()
-    for _ in range(10):
-        state = sim.step(state, sim.stable_dt(0.5))
-    # only the 4x2 junction solves an LP: one for the total, one per arc
-    assert len(calls) == 10 * (1 + 4)
+    for _ in range(40):
+        snap = sim.compute_fluxes(state)
+        assert max(sim.junction_balance_residuals(snap).values()) <= 1e-14
+        # the padding changes no junction's answer, not even in the last bit
+        demand, supply = sim.model.demand_and_supply(state.rho)
+        for junc in sim.net.junctions:
+            order = priority_order(junc.priority)
+            ranked = [junc.incoming[i] for i in order]
+            alone = general(
+                np.array([[sim.cells(demand, a)[-1] for a in ranked]]),
+                np.array([[sim.cells(supply, a)[0] for a in junc.outgoing]]),
+                junc.distribution[None][:, :, order],
+            )
+            admitted = sim.arc_boundary_fluxes(snap)[[column[a] for a in ranked]]
+            assert np.array_equal(admitted, alone[0]), junc.id
+        state = sim.apply(state, snap, sim.stable_dt(0.5))
 
 
 def _tracer_mass_residuals(sim, steps):
@@ -590,10 +600,10 @@ def test_tracer_mass_conserved_per_step_on_the_roundabout():
     assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12
 
 
-def test_tracer_mass_conserved_per_step_through_a_general_junction():
-    # a dynamic exit feeds a 2x2 general junction whose outlets merge
-    # into one arc of lower capacity, so the general junction runs both
-    # free and supply-bound
+def _exit_into_general():
+    """A dynamic exit feeds a 2x2 general junction whose outlets merge
+    into one arc of lower capacity, so the general junction runs both
+    free and supply-bound."""
     arcs = [
         Arc("A", 0.0, 1.0, 8, "external_in"),
         Arc("B", 0.0, 1.0, 8, "external_in"),
@@ -620,9 +630,27 @@ def test_tracer_mass_conserved_per_step_through_a_general_junction():
         BoundaryCondition("A", 0.4, tracer_in=0.6),
         BoundaryCondition("B", 0.45, tracer_in=0.3),
     ]
-    net = Network(UNIT, arcs, junctions, bcs)
+    return Network(UNIT, arcs, junctions, bcs)
+
+
+def test_tracer_mass_conserved_per_step_through_a_general_junction():
+    net = _exit_into_general()
     assert net.validate() == []
     assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12
+
+
+def test_tracer_mass_conserved_per_step_through_a_padded_general_group():
+    # the exit's and the merge's outlets feed a 6x3 hub, which shares one
+    # padded group with the 2x2 junction, so tracer crosses the padding
+    sim = Simulator(hub_network(6, 3, seed=2, upstream=_exit_into_general()))
+    assert _tracer_mass_residuals(sim, 300).max() <= 1e-12
+    # the padding points at arc A; its reservoir keeps its tracer flux
+    state = sim.init_state()
+    for _ in range(100):
+        state = sim.step(state, sim.stable_dt(0.5))
+    snap = sim.compute_fluxes(state)
+    entry = sim.arc_first_iface[sim.arc_ids.index("A")]
+    assert snap.tracer_fluxes[entry] == snap.fluxes[entry] * 0.6 > 0.0
 
 
 def test_invariant_breach_fails_loudly():

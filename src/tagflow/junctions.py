@@ -13,12 +13,16 @@ taking every incoming arc whole) waterfills the shared supply in
 priority order.  Anything else is "general": general solves its linear
 program (Garavello & Piccoli, Traffic Flow on Networks, AIMS 2006) by a
 batched bounded-variable simplex, lexicographically in priority order,
-whatever the junction's in- and out-degree.  classify names a
-junction's kind; diverge, merge and general each solve a whole batch of
-one kind and shape at once, and the simulator calls them on stacked
-junctions.  _lp_solve, which runs scipy's linprog, and
-brute_force_solve are reference oracles for the tests; no simulation
-calls them.
+whatever the junction's in- and out-degree.
+
+classify names a junction's kind and KERNELS maps it to its kernel.
+Every kernel solves a batch of B junctions of its kind at once:
+kernel(demands (B, n_in), supplies (B, n_out), routing (B, n_out,
+n_in)) -> admitted flux (B, n_in), incoming columns in priority order.
+An incoming arc with zero demand, or an outgoing one with a zero
+routing row, changes no junction's answer, so junctions may be padded.
+_lp_solve, which runs scipy's linprog, and brute_force_solve are
+reference oracles for the tests; no simulation calls them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .network import _COLUMN_TOL
 __all__ = [
     "JunctionProblem",
     "JunctionFluxSolution",
+    "KERNELS",
     "classify",
     "diverge",
     "general",
@@ -141,41 +146,43 @@ def classify(distribution: np.ndarray) -> str:
     return "general"
 
 
-def diverge(demands: np.ndarray, supplies: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """Admitted flux of B one-in junctions: demands (B,), supplies and split (B, n_out).
+def diverge(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> np.ndarray:
+    """Admitted flux (B, 1) of B one-in junctions.
 
     Each junction admits the largest flux whose routed shares fit every
     supply; outgoing arcs with a zero share impose no cap.
     """
-    positive = split > 0.0
-    with np.errstate(divide="ignore"):
-        limit = np.where(positive, supplies / np.where(positive, split, 1.0), np.inf)
-    return np.minimum(demands, limit.min(axis=1))
+    split = routing[:, :, 0]
+    limit = np.divide(supplies, split, out=np.full(supplies.shape, np.inf), where=split > 0.0)
+    # one column at a time: numpy reduces a short row far slower
+    admitted = np.minimum(demands[:, 0], limit[:, 0])
+    for j in range(1, limit.shape[1]):
+        np.minimum(admitted, limit[:, j], out=admitted)
+    return admitted[:, None]
 
 
-def merge(demands: np.ndarray, supplies: np.ndarray) -> np.ndarray:
-    """Admitted flux (B, n_in) of B merges; demands (B, n_in) in priority order.
+def merge(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> np.ndarray:
+    """Admitted flux (B, n_in) of B merges.
 
-    The shared supply (B,) is waterfilled: each incoming arc takes what
-    it demands of what the arcs before it left.
+    The shared supply supplies[:, 0] is waterfilled: each incoming arc
+    takes what it demands of what the arcs before it left.  A merge's
+    routing row is 1 within the column tolerance, so routing is not read.
     """
-    gamma = np.empty_like(demands)
-    remaining = supplies
+    gamma = np.empty(demands.shape)
+    remaining = supplies[:, 0]
     for i in range(demands.shape[1]):
         gamma[:, i] = np.minimum(demands[:, i], np.maximum(remaining, 0.0))
         remaining = remaining - gamma[:, i]
     return gamma
 
 
-def general(demands: np.ndarray, supplies: np.ndarray, distribution: np.ndarray) -> np.ndarray:
-    """Admitted flux (B, n_in) of B general junctions of one shape.
+def general(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> np.ndarray:
+    """Admitted flux (B, n_in) of B general junctions.
 
-    demands (B, n_in) are in priority order, supplies are (B, n_out)
-    and distribution is (B, n_out, n_in) with its columns in the same
-    order.  A bounded-variable primal simplex (Chvatal, Linear
-    Programming, 1983, ch. 8) solves every junction in lockstep from
-    the origin, which is always feasible: 0 <= gamma <= d are bounds,
-    and A gamma + w = s, with slacks w >= 0, are the n_out rows of each
+    A bounded-variable primal simplex (Chvatal, Linear Programming,
+    1983, ch. 8) solves every junction in lockstep from the origin,
+    which is always feasible: 0 <= gamma <= d are bounds, and
+    A gamma + w = s, with slacks w >= 0, are the n_out rows of each
     junction's tableau.  The first stage maximizes the total.  Each
     later stage fixes every nonbasic variable whose reduced cost is
     nonzero, which keeps the earlier stages' optima, and maximizes the
@@ -191,7 +198,7 @@ def general(demands: np.ndarray, supplies: np.ndarray, distribution: np.ndarray)
     value = np.concatenate([np.zeros_like(demands), supplies], axis=1)
     # rows B^-1 [A I], then the reduced costs of the current stage
     tableau = np.zeros((n_batch, n_out + 1, n_var))
-    tableau[:, :n_out, :n_in] = distribution
+    tableau[:, :n_out, :n_in] = routing
     tableau[:, np.arange(n_out), n_in + np.arange(n_out)] = 1.0
     basis = np.tile(np.arange(n_in, n_var), (n_batch, 1))
     # nonbasic and not fixed: the variables that may enter
@@ -264,6 +271,9 @@ def _climb(tableau, basis, free, value, upper) -> None:
         tableau[rows] = sub
 
 
+KERNELS = {"diverge": diverge, "merge": merge, "general": general}
+
+
 def solve(p: JunctionProblem) -> JunctionFluxSolution:
     """Optimal junction allocation with priority tie-breaking.
 
@@ -272,18 +282,10 @@ def solve(p: JunctionProblem) -> JunctionFluxSolution:
     the node balance sum(gamma_in) == sum(gamma_out) holds exactly
     whenever the distribution columns each sum to one.
     """
-    kind = classify(p.distribution)
-    if kind == "diverge":
-        gamma = diverge(p.demands, p.supplies[None, :], p.distribution.T)
-    else:
-        order = priority_order(p.priority)
-        ranked = p.demands[None, order]
-        gamma = np.empty(p.n_in)
-        if kind == "merge":
-            gamma[order] = merge(ranked, p.supplies)[0]
-        else:
-            routing = p.distribution[None][:, :, order]
-            gamma[order] = general(ranked, p.supplies[None, :], routing)[0]
+    order = priority_order(p.priority)
+    kernel = KERNELS[classify(p.distribution)]
+    gamma = np.empty(p.n_in)
+    gamma[order] = kernel(p.demands[None, order], p.supplies[None], p.distribution[None][:, :, order])[0]
     return _finish(p, gamma)
 
 

@@ -14,7 +14,9 @@ from the composition that actually arrived.  Nothing in phase 2 feeds
 back into phase 1 of the same step, so cell updates are order-free.
 
 The state is arrays only: density and tracer per cell, one exit split
-per dynamic junction.  Simulator.run is the one time loop.
+per dynamic junction.  The junctions form one table, a row each, which
+phase 1 solves by one kernel call per kind.  Simulator.run is the one
+time loop.
 
 The tracer phi is the fraction of a cell's mass bound for the marked
 exit class.  At a dynamic exit junction the bulk split follows the
@@ -158,35 +160,6 @@ class RunResult:
         return self.arc_fluxes[:, self.arc_ids.index(arc_id)]
 
 
-@dataclass
-class _JunctionGroup:
-    """Junctions stacked one per row: diverges and merges of one
-    (n_in, n_out), or every general junction.
-
-    The cell and interface arrays are (B, n_in) and (B, n_out), with
-    incoming columns in priority order.  The general group is padded to
-    its widest junction; in_real and out_real are True at the real arcs,
-    and the padding points at arc 0, so it must be masked out of every
-    write.  split is the current (B, n_out) routing of a diverge group;
-    its row dynamic[k] is exit_splits[k].  Dynamic junctions are all
-    one-in, two-out diverges, so they share one group, the only one
-    whose dynamic is not None.  distribution is the (B, n_out, n_in)
-    routing of the general group, in priority order and zero in the
-    padding.
-    """
-
-    kind: str
-    in_cell: np.ndarray
-    in_iface: np.ndarray
-    out_cell: np.ndarray
-    out_iface: np.ndarray
-    in_real: np.ndarray
-    out_real: np.ndarray
-    split: np.ndarray | None = None
-    dynamic: np.ndarray | None = None
-    distribution: np.ndarray | None = None
-
-
 def dynamic_exit_coefficients(
     junction: Junction,
     arriving_flux: float,
@@ -247,13 +220,13 @@ def detect_equilibrium(
 class Simulator:
     """Stepping engine bound to one validated network.
 
-    Construction flattens all arcs into one cell array and stacks
-    junctions into groups, each solved in one batched call per step:
-    diverges and merges of one (n_in, n_out) by junctions.diverge and
-    junctions.merge in closed form, and every general junction, padded
-    to the widest, by one junctions.general simplex.  Instances hold no
-    per-run state and may be shared across runs, but one SimState must
-    only ever be advanced by one thread at a time.
+    Construction flattens all arcs into one cell array and stacks every
+    junction as one row of one table, padded to the widest junction and
+    sorted by kind.  A step solves each kind's rows in one call to its
+    kernel in junctions.KERNELS, then routes bulk and tracer flux by the
+    same formula for every junction.  Instances hold no per-run state
+    and may be shared across runs, but one SimState must only ever be
+    advanced by one thread at a time.
     """
 
     def __init__(self, net: Network):
@@ -292,14 +265,16 @@ class Simulator:
         self._arc_last_cell = last_cell
 
         self._build_boundaries()
-        self._build_junction_classes()
-        self.tracer_enabled = any(j.coefficient_mode == "dynamic" for j in net.junctions)
+        self._build_junction_table()
+        self.tracer_enabled = bool(self._dyn_junctions)
         self._check_interface_cover()
 
         # work buffers for the hot path; these make compute_fluxes/apply
         # non-reentrant, so a Simulator must not step from two threads
-        self._D = np.empty(self.total_cells)
-        self._S = np.empty(self.total_cells)
+        # _D, _S and _phi hold one more slot, the dead cell, which stays 0
+        self._D = np.zeros(self.total_cells + 1)
+        self._S = np.zeros(self.total_cells + 1)
+        self._phi = np.zeros(self.total_cells + 1) if self.tracer_enabled else None
         self._adj = np.empty(max(self.total_cells - 1, 0))
         self._iface_diff = np.empty(max(self.total_ifaces - 1, 0))
         self._work = np.empty(self.total_cells)
@@ -328,82 +303,85 @@ class Simulator:
         self._src_cap = np.array(caps)
         self._src_tracer = np.array(tracers)
 
-    def _build_junction_classes(self):
+    def _build_junction_table(self):
+        """Stack every junction as one row of the junction table.
+
+        Rows are sorted by kind, stably, so each kind is one contiguous
+        row range and the dynamic exits keep network order, the row
+        order of exit_splits.  in_cell and in_iface are (J, n_in) with
+        incoming arcs in priority order, out_cell and out_iface are
+        (J, n_out), and routing is (J, n_out, n_in), zero in the padding
+        and exactly 1 on a merge's row.  Padding points at the dead cell
+        total_cells, whose demand, supply and tracer stay 0, and at the
+        scratch interface total_ifaces, which no cell reads.
+        """
         idx = self._arc_index
-        members: dict[tuple[str, int, int], list] = {}
-        self._diagnostics = []
-        for junc in self.net.junctions:
-            in_arcs = [idx[a] for a in junc.incoming]
-            out_arcs = [idx[a] for a in junc.outgoing]
-            self._diagnostics.append(
-                (junc.id, self.arc_last_iface[in_arcs], self.arc_first_iface[out_arcs])
-            )
-            kind = _junctions.classify(junc.distribution)
-            if kind != "diverge":
-                in_arcs = [in_arcs[i] for i in _junctions.priority_order(junc.priority)]
-            # one simplex call solves general junctions of every shape
-            key = (kind, 0, 0) if kind == "general" else (kind, len(in_arcs), len(out_arcs))
-            members.setdefault(key, []).append((junc, in_arcs, out_arcs))
+        net_juncs = self.net.junctions
+        kinds = list(_junctions.KERNELS)
+        kind = np.array([kinds.index(_junctions.classify(j.distribution)) for j in net_juncs], np.intp)
+        rows = np.argsort(kind, kind="stable").tolist()
+        juncs = [net_juncs[k] for k in rows]
+        n_in = np.array([len(j.incoming) for j in juncs], dtype=np.intp)
+        n_out = np.array([len(j.outgoing) for j in juncs], dtype=np.intp)
+        in_slot = np.arange(n_in.max(initial=1)) < n_in[:, None]
+        out_slot = np.arange(n_out.max(initial=1)) < n_out[:, None]
+        # rank[r, c] is the incoming position that column c of row r
+        # holds; a padding column keeps its own position, which is empty
+        rank = np.tile(np.arange(in_slot.shape[1]), (len(juncs), 1))
+        rank[in_slot] = [i for j in juncs for i in _junctions.priority_order(j.priority)]
 
-        def padded(lists):
-            """(B, widest) arc indices, padded with arc 0, and the real-arc mask."""
-            lengths = [len(arcs) for arcs in lists]
-            width = max(lengths)
-            table = np.array([arcs + [0] * (width - len(arcs)) for arcs in lists], dtype=np.intp)
-            return table, np.arange(width) < np.array(lengths)[:, None]
+        # arc n_arcs is the padding: its cells are the dead cell and its
+        # interfaces the scratch interface
+        in_arcs = np.full(in_slot.shape, len(self.arc_ids), dtype=np.intp)
+        in_arcs[in_slot] = [idx[a] for j in juncs for a in j.incoming]
+        in_arcs = np.take_along_axis(in_arcs, rank, axis=1)
+        out_arcs = np.full(out_slot.shape, len(self.arc_ids), dtype=np.intp)
+        out_arcs[out_slot] = [idx[a] for j in juncs for a in j.outgoing]
+        self._in_cell = np.append(self._arc_last_cell, self.total_cells)[in_arcs]
+        self._in_iface = np.append(self.arc_last_iface, self.total_ifaces)[in_arcs]
+        self._out_cell = np.append(self._arc_first_cell, self.total_cells)[out_arcs]
+        self._out_iface = np.append(self.arc_first_iface, self.total_ifaces)[out_arcs]
 
-        self._groups: list[_JunctionGroup] = []
-        for (kind, _, _), rows in members.items():
-            juncs = [j for j, _, _ in rows]
-            ins, in_real = padded([i for _, i, _ in rows])
-            outs, out_real = padded([o for _, _, o in rows])
-            group = _JunctionGroup(
-                kind=kind,
-                in_cell=self._arc_last_cell[ins],
-                in_iface=self.arc_last_iface[ins],
-                out_cell=self._arc_first_cell[outs],
-                out_iface=self.arc_first_iface[outs],
-                in_real=in_real,
-                out_real=out_real,
-            )
-            if kind == "diverge":
-                group.split = np.stack([j.distribution[:, 0] for j in juncs])
-                rows = [row for row, j in enumerate(juncs) if j.coefficient_mode == "dynamic"]
-                if rows:
-                    group.dynamic = np.array(rows, dtype=np.intp)
-            elif kind == "general":
-                group.distribution = np.zeros((len(juncs), outs.shape[1], ins.shape[1]))
-                for row, j in enumerate(juncs):
-                    n_out, n_in = j.distribution.shape
-                    order = _junctions.priority_order(j.priority)
-                    group.distribution[row, :n_out, :n_in] = j.distribution[:, order]
-            self._groups.append(group)
+        routing = np.zeros(out_slot.shape + in_slot.shape[1:])
+        if juncs:
+            real = out_slot[:, :, None] & in_slot[:, None, :]
+            routing[real] = np.concatenate([j.distribution for j in juncs], axis=None)
+        merges = kind[rows] == kinds.index("merge")
+        routing[merges, 0] = in_slot[merges]
+        self._routing = np.take_along_axis(routing, rank[:, None, :], axis=2)
 
-        # dynamic exits (one in, two out), flat: entry, exit and other outlet
-        dyn = [j for j in self.net.junctions if j.coefficient_mode == "dynamic"]
-
-        def arcs(pick):
-            return np.array([idx[pick(j)] for j in dyn], dtype=np.intp)
-
-        entry = arcs(lambda j: j.incoming[0])
-        self._dyn_junctions = dyn
-        self._dyn_in_cell = self._arc_last_cell[entry]
-        self._dyn_in_iface = self.arc_last_iface[entry]
-        self._dyn_exit_iface = self.arc_first_iface[arcs(lambda j: j.exit_arc)]
-        self._dyn_other_iface = self.arc_first_iface[
-            arcs(lambda j: j.outgoing[1 - j.outgoing.index(j.exit_arc)])
+        # one kernel call per kind present, at that kind's own width
+        stops = np.cumsum(np.bincount(kind, minlength=len(kinds))).tolist()
+        self._kinds = [
+            (slice(start, stop), _junctions.KERNELS[name], n_in[start:stop].max(), n_out[start:stop].max())
+            for name, start, stop in zip(kinds, [0] + stops, stops)
+            if stop > start
         ]
-        self._dyn_exit_col = np.array([j.outgoing.index(j.exit_arc) for j in dyn], dtype=np.intp)
-        self._dyn_takes_marked = np.array([j.exit_tracer == 1.0 for j in dyn], dtype=bool)
+        # the balance check reads the network's own arc lists, not the table
+        self._balance_in = self.arc_last_iface[[idx[a] for j in net_juncs for a in j.incoming]]
+        self._balance_out = self.arc_first_iface[[idx[a] for j in net_juncs for a in j.outgoing]]
+        self._balance_at = [
+            np.cumsum([0] + [len(j.incoming) for j in net_juncs])[:-1],
+            np.cumsum([0] + [len(j.outgoing) for j in net_juncs])[:-1],
+        ]
+
+        # dynamic exits (one in, two out) are diverge rows; _dyn_split
+        # holds the flat indices of routing[dyn, :2, 0], their splits
+        dyn = np.flatnonzero([j.coefficient_mode == "dynamic" for j in juncs])
+        self._dyn_split = np.ravel_multi_index((dyn[:, None], [0, 1], 0), self._routing.shape)
+        self._dyn_junctions = dynamic = [juncs[r] for r in dyn]
+        self._dyn_exit_col = np.array([j.outgoing.index(j.exit_arc) for j in dynamic], dtype=np.intp)
+        self._dyn_takes_marked = np.array([j.exit_tracer == 1.0 for j in dynamic], dtype=bool)
+        self._dyn_in_cell = self._in_cell[dyn, 0]
+        self._dyn_in_iface = self._in_iface[dyn, 0]
+        self._dyn_exit_iface = self._out_iface[dyn, self._dyn_exit_col]
+        self._dyn_other_iface = self._out_iface[dyn, 1 - self._dyn_exit_col]
 
     def _check_interface_cover(self):
-        cover = np.zeros(self.total_ifaces, dtype=int)
-        for arr in (self._int_iface, self._src_iface, self._snk_iface):
+        cover = np.zeros(self.total_ifaces + 1, dtype=int)
+        for arr in (self._int_iface, self._src_iface, self._snk_iface, self._in_iface, self._out_iface):
             np.add.at(cover, arr, 1)
-        for g in self._groups:
-            np.add.at(cover, g.in_iface[g.in_real], 1)
-            np.add.at(cover, g.out_iface[g.out_real], 1)
-        if not np.all(cover == 1):
+        if not np.all(cover[:-1] == 1):
             raise AssertionError("internal layout error: interface not covered exactly once")
 
     # -- state -------------------------------------------------------------
@@ -445,11 +423,11 @@ class Simulator:
 
     def compute_fluxes(self, state: SimState) -> FluxSnapshot:
         """One bulk flux (and tracer flux) per interface; read-only."""
-        rho = state.rho
         demand, supply = self.model.demand_and_supply(
-            rho, out_demand=self._D, out_supply=self._S, check=False
+            state.rho, out_demand=self._D[:-1], out_supply=self._S[:-1], check=False
         )
-        F = np.empty(self.total_ifaces)
+        # the last slot is the scratch interface
+        F = np.empty(self.total_ifaces + 1)
 
         if self.total_cells > 1:
             adjacent = np.minimum(demand[:-1], supply[1:], out=self._adj)
@@ -457,61 +435,42 @@ class Simulator:
         F[self._src_iface] = np.minimum(self._src_cap, supply[self._src_cell])
         F[self._snk_iface] = demand[self._snk_cell]
 
-        for g in self._groups:
-            d = demand[g.in_cell]
-            s = supply[g.out_cell]
-            if g.kind == "diverge":
-                if g.dynamic is not None:
-                    g.split[g.dynamic] = state.exit_splits
-                gamma = _junctions.diverge(d[:, 0], s, g.split)
-                F[g.in_iface[:, 0]] = gamma
-                F[g.out_iface] = g.split * gamma[:, None]
-            elif g.kind == "merge":
-                gamma = _junctions.merge(d, s[:, 0])
-                F[g.in_iface] = gamma
-                F[g.out_iface[:, 0]] = gamma.sum(axis=1)
-            else:
-                # zero demand keeps the padding out of the simplex
-                gamma = _junctions.general(d * g.in_real, s, g.distribution)
-                F[g.in_iface[g.in_real]] = gamma[g.in_real]
-                routed = np.einsum("bji,bi->bj", g.distribution, gamma)
-                F[g.out_iface[g.out_real]] = routed[g.out_real]
+        # one kernel call per kind, then one routing formula for every junction
+        routing = self._routing
+        routing.reshape(-1)[self._dyn_split] = state.exit_splits
+        d = self._D[self._in_cell]
+        s = self._S[self._out_cell]
+        gamma = np.zeros(d.shape)
+        for rows, kernel, n_in, n_out in self._kinds:
+            gamma[rows, :n_in] = kernel(d[rows, :n_in], s[rows, :n_out], routing[rows, :n_out, :n_in])
+        F[self._in_iface] = gamma
+        F[self._out_iface] = np.einsum("bji,bi->bj", routing, gamma)
 
-        Fphi = self._tracer_fluxes(state, F) if state.phi is not None else None
+        Fphi = self._tracer_fluxes(state, F)[:-1] if state.phi is not None else None
         return FluxSnapshot(
-            fluxes=F,
+            fluxes=F[:-1],
             tracer_fluxes=Fphi,
             inflow_total=float(np.sum(F[self._src_iface])),
             outflow_total=float(np.sum(F[self._snk_iface])),
         )
 
     def _tracer_fluxes(self, state: SimState, F: np.ndarray) -> np.ndarray:
-        """Tracer mass flux per interface; bulk flux times donor value.
+        """Tracer mass flux per interface, the scratch interface last.
 
-        Flow never runs backwards, so the donor of every in-arc
-        interface is the cell (or reservoir, or junction mixture) on its
-        left.
+        Bulk flux times donor value: flow never runs backwards, so the
+        donor of every in-arc interface is the cell (or reservoir, or
+        junction mixture) on its left.  Junctions mix in proportion to
+        routed flux; dynamic exits then sort by destination.
         """
-        phi = np.clip(state.phi, 0.0, 1.0)
-        Fphi = np.empty(self.total_ifaces)
+        phi = np.clip(state.phi, 0.0, 1.0, out=self._phi[:-1])
+        Fphi = np.empty(self.total_ifaces + 1)
         Fphi[self._int_iface] = F[self._int_iface] * phi[self._int_left_cell]
         Fphi[self._src_iface] = F[self._src_iface] * self._src_tracer
         Fphi[self._snk_iface] = F[self._snk_iface] * phi[self._snk_cell]
 
-        for g in self._groups:
-            per_in = F[g.in_iface] * phi[g.in_cell]
-            if g.kind == "diverge":
-                Fphi[g.in_iface] = per_in
-                # static splits mix; dynamic exits sort by destination below
-                Fphi[g.out_iface] = g.split * per_in
-            elif g.kind == "merge":
-                Fphi[g.in_iface] = per_in
-                Fphi[g.out_iface[:, 0]] = per_in.sum(axis=1)
-            else:
-                # padded columns carry garbage, but their routing is zero
-                Fphi[g.in_iface[g.in_real]] = per_in[g.in_real]
-                mixed = np.minimum(np.einsum("bji,bi->bj", g.distribution, per_in), F[g.out_iface])
-                Fphi[g.out_iface[g.out_real]] = mixed[g.out_real]
+        per_in = F[self._in_iface] * self._phi[self._in_cell]
+        Fphi[self._in_iface] = per_in
+        Fphi[self._out_iface] = np.minimum(np.einsum("bji,bi->bj", self._routing, per_in), F[self._out_iface])
 
         if self._dyn_junctions:
             m = F[self._dyn_in_iface] * phi[self._dyn_in_cell]
@@ -618,11 +577,9 @@ class Simulator:
 
     def junction_balance_residuals(self, snap: FluxSnapshot) -> dict[str, float]:
         """Per-junction |sum incoming - sum outgoing| boundary flux."""
-        F = snap.fluxes
-        return {
-            jid: abs(float(F[in_ifaces].sum() - F[out_ifaces].sum()))
-            for jid, in_ifaces, out_ifaces in self._diagnostics
-        }
+        inflow = np.add.reduceat(snap.fluxes[self._balance_in], self._balance_at[0])
+        outflow = np.add.reduceat(snap.fluxes[self._balance_out], self._balance_at[1])
+        return dict(zip((j.id for j in self.net.junctions), np.abs(inflow - outflow).tolist()))
 
     def arc_boundary_fluxes(self, snap: FluxSnapshot) -> np.ndarray:
         """Downstream interface flux of every arc, in arc order."""

@@ -193,3 +193,46 @@ def hub_network(n_in: int, n_out: int, seed: int = 0, upstream: Network | None =
         boundary_conditions=([] if upstream is None else list(upstream.boundary_conditions))
         + [BoundaryCondition(a, float(rng.uniform(0.2, 0.5))) for a in sources],
     )
+
+
+def mixed_kind_network() -> Network:
+    """Every junction kind in one table: three reservoirs feed a dynamic
+    exit (1->2) and a static 1->3 diverge, which share the diverge rows;
+    a 2->1 and a 3->1 merge, which share the merge rows; and a 2x3
+    general junction.  The 3->1 merge takes more than one arc can carry,
+    so it backs up into the diverge in front of it.  The exit lists its exit
+    arc second and lets the unmarked class leave."""
+    model = FluxModel()
+    kinds = {"A": "external_in", "B": "external_in", "C": "external_in"}
+    kinds.update({a: "external_out" for a in ("E", "Z1", "Z2", "Z3")})
+    arcs = [
+        Arc(a, 0.0, 1.0, 6, kinds.get(a, "generic"))
+        for a in ("A", "B", "C", "E", "M", "P", "Q", "S", "T", "U", "Z1", "Z2", "Z3")
+    ]
+    junctions = [
+        Junction(
+            "Jexit",
+            ["A"],
+            ["M", "E"],
+            [[0.5], [0.5]],
+            coefficient_mode="dynamic",
+            exit_arc="E",
+            exit_tracer=0.0,
+        ),
+        Junction("Jdiv3", ["B"], ["P", "Q", "S"], [[0.2], [0.5], [0.3]]),
+        Junction("Jmerge2", ["M", "P"], ["T"], [[1.0, 1.0]], priority=[0.4, 0.6]),
+        Junction("Jmerge3", ["Q", "S", "C"], ["U"], [[1.0, 1.0, 1.0]], priority=[0.2, 0.5, 0.3]),
+        Junction(
+            "Jgen",
+            ["T", "U"],
+            ["Z1", "Z2", "Z3"],
+            [[0.5, 0.2], [0.3, 0.3], [0.2, 0.5]],
+            priority=[0.7, 0.3],
+        ),
+    ]
+    bcs = [
+        BoundaryCondition("A", 0.3, tracer_in=0.6),
+        BoundaryCondition("B", 0.45, tracer_in=0.2),
+        BoundaryCondition("C", 0.1, tracer_in=0.9),
+    ]
+    return Network(model=model, arcs=arcs, junctions=junctions, boundary_conditions=bcs)

@@ -184,8 +184,8 @@ def test_batched_kernels_match_scalar_loops():
     split[rng.random((20, 3)) < 0.2] = 0.0
     split[:, 0] += 0.1
     split /= split.sum(axis=1, keepdims=True)
-    admitted = diverge(demands[:, 0], supplies, split)
-    waterfilled = merge(demands, supplies[:, 0])
+    admitted = diverge(demands[:, :1], supplies, split[:, :, None])[:, 0]
+    waterfilled = merge(demands, supplies[:, :1], np.ones((20, 1, 3)))
     for b in range(20):
         caps = [supplies[b, j] / split[b, j] for j in range(3) if split[b, j] > 0.0]
         assert admitted[b] == min([demands[b, 0]] + caps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tagflow.flux import FluxModel
-from tagflow.junctions import general, priority_order
+from tagflow.junctions import KERNELS, classify, priority_order
 from tagflow.network import (
     Arc,
     BoundaryCondition,
@@ -25,7 +25,13 @@ from tagflow.simulate import (
 
 from tagflow.bench import build_diamond_chain
 
-from helpers import hub_network, random_network, riemann_l1_error, single_arc_network
+from helpers import (
+    hub_network,
+    mixed_kind_network,
+    random_network,
+    riemann_l1_error,
+    single_arc_network,
+)
 
 UNIT = FluxModel()
 RHO_BAR_01 = (1.0 - math.sqrt(0.6)) / 2.0  # unit-model density with flux 0.1
@@ -400,28 +406,30 @@ def test_exit_splits_follow_the_scalar_rule_bitwise():
     net = exit_listed_second_roundabout(10)
     assert net.junction("J2").outgoing.index("S3") == 1
     assert net.junction("J4").exit_tracer == 0.0
-    sim = Simulator(net)
-    dynamic = [j for j in net.junctions if j.coefficient_mode == "dynamic"]
-    assert [j.id for j in dynamic] == ["J2", "J4"]
-    state = sim.init_state()
-    dt = sim.stable_dt(0.5)
-    gated = updated = 0
-    for _ in range(300):
-        snap = sim.compute_fluxes(state)
-        new = sim.step(state, dt)
-        for row, junc in enumerate(dynamic):
-            arriving = snap.fluxes[sim.arc_last_iface[sim.arc_ids.index(junc.incoming[0])]]
-            donor = sim.cells(state.phi, junc.incoming[0])[-1]
-            expected = dynamic_exit_coefficients(junc, arriving, donor, state.exit_splits[row])
-            assert new.exit_splits[row].tobytes() == expected.tobytes()
-            if arriving < EPS_FLUX:
-                gated += 1
-            else:
-                updated += 1
-        state = new
-    assert gated > 0 and updated > 0
-    # both classes leave: the splits moved away from their first-arrival value
-    assert not np.array_equal(state.exit_splits, sim.init_state().exit_splits)
+    # the mixed network's exit shares its padded table rows with a 1->3 diverge
+    for net, dynamic_ids in ((net, ["J2", "J4"]), (mixed_kind_network(), ["Jexit"])):
+        sim = Simulator(net)
+        dynamic = [j for j in net.junctions if j.coefficient_mode == "dynamic"]
+        assert [j.id for j in dynamic] == dynamic_ids
+        state = sim.init_state()
+        dt = sim.stable_dt(0.5)
+        gated = updated = 0
+        for _ in range(300):
+            snap = sim.compute_fluxes(state)
+            new = sim.step(state, dt)
+            for row, junc in enumerate(dynamic):
+                arriving = snap.fluxes[sim.arc_last_iface[sim.arc_ids.index(junc.incoming[0])]]
+                donor = sim.cells(state.phi, junc.incoming[0])[-1]
+                expected = dynamic_exit_coefficients(junc, arriving, donor, state.exit_splits[row])
+                assert new.exit_splits[row].tobytes() == expected.tobytes()
+                if arriving < EPS_FLUX:
+                    gated += 1
+                else:
+                    updated += 1
+            state = new
+        assert gated > 0 and updated > 0
+        # both classes leave: the splits moved away from their first-arrival value
+        assert not np.array_equal(state.exit_splits, sim.init_state().exit_splits)
 
 
 def test_exit_listed_second_reaches_the_closed_form():
@@ -535,7 +543,7 @@ def test_general_junctions_skip_the_lp(monkeypatch):
 
     monkeypatch.setattr("tagflow.junctions.linprog", no_lp)
     # seven general junctions of every shape from 2x2 to 3x3, so that
-    # most groups stack more than one junction
+    # most shapes occur more than once in the general rows
     net = ladder_network((2, 2, 3, 2, 3, 3, 2, 2))
     sim = Simulator(net)
     state = sim.init_state()
@@ -551,26 +559,63 @@ def test_every_in_degree_steps_without_the_lp(monkeypatch):
         raise AssertionError("a simulation reached the junction LP")
 
     monkeypatch.setattr("tagflow.junctions.linprog", no_lp)
-    # a 2x4, a 4x2 and a 16x4 junction, all in one padded general group
-    sim = Simulator(hub_network(16, 4, seed=5, upstream=ladder_network((2, 4, 2))))
-    column = {arc_id: k for k, arc_id in enumerate(sim.arc_ids)}
+    networks = (
+        # a 2x4, a 4x2 and a 16x4 general junction, padded to one width
+        hub_network(16, 4, seed=5, upstream=ladder_network((2, 4, 2))),
+        # every kind, each padded to the widest junction of the table
+        mixed_kind_network(),
+    )
+    for net in networks:
+        sim = Simulator(net)
+        column = {arc_id: k for k, arc_id in enumerate(sim.arc_ids)}
+        dynamic = [j.id for j in net.junctions if j.coefficient_mode == "dynamic"]
+        state = sim.init_state()
+        for _ in range(40):
+            snap = sim.compute_fluxes(state)
+            assert max(sim.junction_balance_residuals(snap).values()) <= 1e-14
+            # the padding changes no junction's answer, not even in the last bit
+            demand, supply = sim.model.demand_and_supply(state.rho)
+            for junc in net.junctions:
+                order = priority_order(junc.priority)
+                ranked = [junc.incoming[i] for i in order]
+                routing = junc.distribution
+                if junc.id in dynamic:
+                    routing = state.exit_splits[dynamic.index(junc.id)][:, None]
+                alone = KERNELS[classify(junc.distribution)](
+                    np.array([[sim.cells(demand, a)[-1] for a in ranked]]),
+                    np.array([[sim.cells(supply, a)[0] for a in junc.outgoing]]),
+                    routing[None][:, :, order],
+                )
+                admitted = sim.arc_boundary_fluxes(snap)[[column[a] for a in ranked]]
+                assert np.array_equal(admitted, alone[0]), junc.id
+                # and each outlet receives its routed share
+                received = snap.fluxes[[sim.arc_first_iface[column[a]] for a in junc.outgoing]]
+                np.testing.assert_allclose(received, routing[:, order] @ alone[0], rtol=0.0, atol=1e-15)
+            state = sim.step(state, sim.stable_dt(0.5))
+
+
+@pytest.mark.parametrize(
+    "network", [mixed_kind_network, lambda: build_diamond_chain(40, 3)], ids=["mixed", "diamond-chain"]
+)
+def test_each_kind_is_solved_in_one_call_per_step(monkeypatch, network):
+    calls = dict.fromkeys(KERNELS, 0)
+
+    def counted(kind, kernel):
+        def wrapper(*args):
+            calls[kind] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    for kind, kernel in list(KERNELS.items()):
+        monkeypatch.setitem(KERNELS, kind, counted(kind, kernel))
+    net = network()
+    present = {classify(j.distribution) for j in net.junctions}
+    sim = Simulator(net)
     state = sim.init_state()
-    for _ in range(40):
-        snap = sim.compute_fluxes(state)
-        assert max(sim.junction_balance_residuals(snap).values()) <= 1e-14
-        # the padding changes no junction's answer, not even in the last bit
-        demand, supply = sim.model.demand_and_supply(state.rho)
-        for junc in sim.net.junctions:
-            order = priority_order(junc.priority)
-            ranked = [junc.incoming[i] for i in order]
-            alone = general(
-                np.array([[sim.cells(demand, a)[-1] for a in ranked]]),
-                np.array([[sim.cells(supply, a)[0] for a in junc.outgoing]]),
-                junc.distribution[None][:, :, order],
-            )
-            admitted = sim.arc_boundary_fluxes(snap)[[column[a] for a in ranked]]
-            assert np.array_equal(admitted, alone[0]), junc.id
-        state = sim.apply(state, snap, sim.stable_dt(0.5))
+    for _ in range(25):
+        state = sim.step(state, sim.stable_dt(0.5))
+    assert calls == {kind: 25 if kind in present else 0 for kind in KERNELS}
 
 
 def _tracer_mass_residuals(sim, steps):
@@ -634,17 +679,19 @@ def _exit_into_general():
 
 
 def test_tracer_mass_conserved_per_step_through_a_general_junction():
-    net = _exit_into_general()
-    assert net.validate() == []
-    assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12
+    # and through every kind at once, the exit's row padded to three outlets
+    for net in (_exit_into_general(), mixed_kind_network()):
+        assert net.validate() == []
+        assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12
 
 
 def test_tracer_mass_conserved_per_step_through_a_padded_general_group():
-    # the exit's and the merge's outlets feed a 6x3 hub, which shares one
-    # padded group with the 2x2 junction, so tracer crosses the padding
+    # the exit's and the merge's outlets feed a 6x3 hub, which shares the
+    # general rows with the 2x2 junction, so tracer crosses the padding
     sim = Simulator(hub_network(6, 3, seed=2, upstream=_exit_into_general()))
     assert _tracer_mass_residuals(sim, 300).max() <= 1e-12
-    # the padding points at arc A; its reservoir keeps its tracer flux
+    # no padded write lands on a real interface: the entry of arc A, the
+    # first arc, keeps its reservoir's tracer flux
     state = sim.init_state()
     for _ in range(100):
         state = sim.step(state, sim.stable_dt(0.5))

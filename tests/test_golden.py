@@ -1,0 +1,74 @@
+"""Golden outputs: the engine's results pinned bit for bit.
+
+A change to the step that is meant to be pure speed must leave every
+hash below as it is.  A change that moves a result on purpose updates
+the hash and says why.
+"""
+
+import dataclasses
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tagflow.bench import build_diamond_chain
+from tagflow.output import write_timeseries
+from tagflow.scenario import parse_scenario
+from tagflow.simulate import Simulator
+
+from helpers import mixed_kind_network
+
+ROUNDABOUT = Path(__file__).parent.parent / "demos" / "roundabout.json"
+
+# the bundled roundabout to t = 20: the first arrivals at t = 1.28 and
+# the transient that follows them
+ROUNDABOUT_CSV_SHA256 = {
+    "fluxes": "ab3e37cc888a397fb475c848f44d5f27c3cf2fa62966ce38aa64597b26dae5ae",
+    "coefficients": "f535914e5a6da99202dc8e1ed89c058011688c0d74772aee6b66de2be3ba0c23",
+    "densities": "7d63e9eb16688aba4a451e6450d96b3c4cfaa6731dd6b03eb9abfeccfda3cd46",
+}
+# rho.tobytes() (and phi.tobytes() where there is a tracer) after 200
+# steps from seeded densities
+STATE_SHA256 = {
+    "diamond-chain": {"rho": "e59d20f0278e3e77d2fcae7a5f3d3f052c517936f110d2a7c8e8f928874bc105"},
+    "mixed": {
+        "rho": "db7fb27caa5c13be9f31c8b66aa5bc5d50aabce5c28759738eda0c89fe3d370b",
+        "phi": "04b4db5f854297ff9c562732527119506769c9a14254f0b58120f7fa745eba9b",
+    },
+}
+NETWORKS = {"diamond-chain": lambda: build_diamond_chain(40, 5), "mixed": mixed_kind_network}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def roundabout_csv_hashes(out_dir: Path) -> dict[str, str]:
+    net, config = parse_scenario(ROUNDABOUT.read_text())
+    result = Simulator(net).run(dataclasses.replace(config, t_end=20.0))
+    paths = write_timeseries(result, out_dir)
+    return {name: _sha256(paths[name].read_bytes()) for name in ROUNDABOUT_CSV_SHA256}
+
+
+def stepped_state_hashes(name: str, steps: int = 200, seed: int = 7) -> dict[str, str]:
+    sim = Simulator(NETWORKS[name]())
+    state = sim.init_state()
+    rng = np.random.default_rng(seed)
+    state.rho[:] = rng.uniform(0.0, 1.0, sim.total_cells)
+    if state.phi is not None:
+        state.phi[:] = rng.uniform(0.0, 1.0, sim.total_cells)
+    dt = sim.stable_dt(0.5)
+    for _ in range(steps):
+        state = sim.step(state, dt)
+    arrays = {"rho": state.rho, "phi": state.phi}
+    return {key: _sha256(arrays[key].tobytes()) for key in STATE_SHA256[name]}
+
+
+def test_roundabout_csvs_are_bit_identical(tmp_path):
+    assert roundabout_csv_hashes(tmp_path) == ROUNDABOUT_CSV_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(STATE_SHA256))
+def test_stepped_state_is_bit_identical(name):
+    assert stepped_state_hashes(name) == STATE_SHA256[name]

@@ -445,10 +445,15 @@ def test_exit_listed_second_reaches_the_closed_form():
 
 
 @pytest.mark.parametrize("t_end, interval", [(100.0, 0.25), (5.1, 0.25), (3.0, 0.1), (2.0, 0.3)])
-def test_sample_times_lie_exactly_on_the_grid(t_end, interval):
+def test_sample_times_lie_exactly_on_the_grid(t_end, interval, request):
     # dt = 0.01 divides every interval, so each sample falls on a step end
-    net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=50)
-    res = Simulator(net).run(SimConfig(t_end=t_end, sample_interval=interval))
+    if (t_end, interval) == (100.0, 0.25):
+        # exactly the run of the roundabout_run fixture
+        assert SimConfig().sample_interval == interval
+        res = request.getfixturevalue("roundabout_run")
+    else:
+        net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=50)
+        res = Simulator(net).run(SimConfig(t_end=t_end, sample_interval=interval))
     n = math.floor(t_end / interval + 1e-9) + 1
     grid = [j * interval for j in range(n)]
     if abs(grid[-1] - t_end) <= 1e-9:
@@ -708,6 +713,30 @@ def test_invariant_breach_fails_loudly():
     snap = sim.compute_fluxes(state)
     with pytest.raises(SimulationError):
         sim.apply(state, snap, 10.0)  # wildly unstable dt
+
+
+@pytest.mark.parametrize(
+    "network, field",
+    [("roundabout", "rho"), ("roundabout", "phi"), ("diamond-chain", "rho")],
+)
+def test_nan_fails_the_step_invariant_checks(network, field):
+    # NaN compares false both ways, so a check written as "lo < min or
+    # hi > max" lets it through and it spreads a few cells per step
+    if network == "roundabout":
+        net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=10)
+    else:
+        net = build_diamond_chain(4, 3)
+    sim = Simulator(net)
+    state = sim.init_state()
+    dt = sim.stable_dt(0.5)
+    for _ in range(200):
+        state = sim.step(state, dt)
+    cell = int(np.argmax(state.rho))
+    assert state.rho[cell] > 0.01
+    getattr(state, field)[cell] = np.nan
+    snap = sim.compute_fluxes(state)
+    with pytest.raises(SimulationError):
+        sim.apply(state, snap, dt)
 
 
 def test_simulator_rejects_invalid_network():

@@ -49,6 +49,8 @@ _COLUMN_TOL = 1e-9
 # address; past it, array construction fails with an error other than
 # MemoryError.
 _MAX_INTERFACES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# Characters an id may not hold: the CSV output writes ids unquoted.
+_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 class UndefinedCoefficientsError(ValueError):
@@ -182,6 +184,8 @@ class Network:
             if arc.id in seen:
                 errors.append(f"arc {arc.id}: duplicate id")
             seen.add(arc.id)
+            if not _CSV_SPECIAL.isdisjoint(arc.id):
+                errors.append(f"arc {arc.id!r}: id holds a comma, quote or line break")
             if not math.isfinite(arc.b - arc.a):  # also NaN or infinite ends
                 errors.append(f"arc {arc.id}: a={arc.a}, b={arc.b} give no finite length")
             elif not arc.b > arc.a:
@@ -203,6 +207,8 @@ class Network:
             if junc.id in seen_j:
                 errors.append(f"junction {junc.id}: duplicate id")
             seen_j.add(junc.id)
+            if not _CSV_SPECIAL.isdisjoint(junc.id):
+                errors.append(f"junction {junc.id!r}: id holds a comma, quote or line break")
             refs = junc.incoming + junc.outgoing
             for arc_id in refs:
                 if arc_id not in self._arc_by_id:

@@ -5,11 +5,20 @@ fixed column order, rows sorted by (time, arc id, cell index), and
 every number printed with 17 significant digits.  The summary is
 deterministic too apart from its wall-clock figures.  Networks without
 a tracer field report the neutral placeholder 0.5 in the tracer column.
+
+Each file is written one sample at a time.  The text in front of each
+value (arc id and cell, or junction and arc pair) is the same in every
+sample, so it is built once per file.  Per sample the values are
+gathered in file order, each distinct float64 bit pattern among them is
+formatted once, and the sample's rows go out as one string.  The writer
+therefore holds one sample's text at a time, and its memory does not
+grow with the number of samples.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +30,18 @@ __all__ = ["write_timeseries"]
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """`_fmt` of each float64 in `values`, one call per distinct bit pattern.
+
+    Keying on the bits, not the value, keeps -0.0 apart from 0.0.
+    """
+    keys = values.view(np.int64).tolist()
+    memo = dict(zip(keys, values.tolist()))
+    for key, value in memo.items():
+        memo[key] = _fmt(value)
+    return list(map(memo.__getitem__, keys))
 
 
 def write_timeseries(result: RunResult, destination: str | Path) -> dict[str, Path]:
@@ -45,40 +66,53 @@ def write_timeseries(result: RunResult, destination: str | Path) -> dict[str, Pa
         offsets = np.concatenate(
             [[0], np.cumsum([result.cells_per_arc[a] for a in result.arc_ids])]
         )
+        cells = np.concatenate([np.arange(offsets[k], offsets[k + 1]) for k in order])
+        heads = [
+            f",{result.arc_ids[k]},{cell},"
+            for k in order
+            for cell in range(result.cells_per_arc[result.arc_ids[k]])
+        ]
         with open(paths["densities"], "w", newline="") as fh:
             fh.write("time,arc_id,cell,density,tracer\n")
+            placeholder = repeat(_fmt(TRACER_PLACEHOLDER))
             for ti, t in enumerate(result.times):
                 time_txt = _fmt(t)
-                for k in order:
-                    arc_id = result.arc_ids[k]
-                    rho = result.density[ti, offsets[k] : offsets[k + 1]]
-                    if result.tracer is not None:
-                        phi = result.tracer[ti, offsets[k] : offsets[k + 1]]
-                    else:
-                        phi = np.full(rho.shape, TRACER_PLACEHOLDER)
-                    for cell, (r, p) in enumerate(zip(rho, phi)):
-                        fh.write(f"{time_txt},{arc_id},{cell},{_fmt(r)},{_fmt(p)}\n")
+                rho = _texts(result.density[ti].take(cells))
+                if result.tracer is None:
+                    phi = placeholder
+                else:
+                    phi = _texts(result.tracer[ti].take(cells))
+                fh.write(
+                    "".join(
+                        [f"{time_txt}{head}{r},{p}\n" for head, r, p in zip(heads, rho, phi)]
+                    )
+                )
 
     with open(paths["fluxes"], "w", newline="") as fh:
         fh.write("time,arc_id,flux\n")
+        heads = [f",{result.arc_ids[k]}," for k in order]
         for ti, t in enumerate(result.times):
             time_txt = _fmt(t)
-            for k in order:
-                fh.write(f"{time_txt},{result.arc_ids[k]},{_fmt(result.arc_fluxes[ti, k])}\n")
+            flux = _texts(result.arc_fluxes[ti].take(order))
+            fh.write("".join([f"{time_txt}{head}{f}\n" for head, f in zip(heads, flux)]))
 
     with open(paths["coefficients"], "w", newline="") as fh:
         fh.write("time,junction_id,from_arc,to_arc,coefficient\n")
         junction_ids = sorted(result.coefficients)
-        for ti, t in enumerate(result.times):
+        matrices = [result.coefficients[jid] for jid in junction_ids]
+        heads = [
+            f",{jid},{src},{dst},"
+            for jid in junction_ids
+            for src in result.junction_arcs[jid][0]
+            for dst in result.junction_arcs[jid][1]
+        ]
+        # a network without junctions has no coefficient rows
+        for ti, t in enumerate(result.times if matrices else ()):
             time_txt = _fmt(t)
-            for jid in junction_ids:
-                matrix = result.coefficients[jid][ti]
-                incoming, outgoing = result.junction_arcs[jid]
-                for col, src in enumerate(incoming):
-                    for row, dst in enumerate(outgoing):
-                        fh.write(
-                            f"{time_txt},{jid},{src},{dst},{_fmt(matrix[row, col])}\n"
-                        )
+            # a matrix is (n_out, n_in) and the file runs over incoming arcs
+            # first, so each sample's matrix is read transposed
+            coef = _texts(np.concatenate([m[ti].T for m in matrices], axis=None))
+            fh.write("".join([f"{time_txt}{head}{c}\n" for head, c in zip(heads, coef)]))
 
     summary = dict(result.summary)
     summary["first_arrival_coefficients"] = {

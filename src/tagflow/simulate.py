@@ -149,7 +149,9 @@ class RunResult:
     junction_arcs: dict[str, tuple[list[str], list[str]]]  # id -> (incoming, outgoing)
     times: np.ndarray
     arc_fluxes: np.ndarray  # (n_samples, n_arcs), downstream interface
-    coefficients: dict[str, np.ndarray]  # junction -> (n_samples, n_out, n_in)
+    # junction -> (n_samples, n_out, n_in); a static junction's entry is a
+    # read-only view of its one matrix
+    coefficients: dict[str, np.ndarray]
     density: np.ndarray | None  # (n_samples, total_cells)
     tracer: np.ndarray | None
     first_arrival_coefficients: dict[str, tuple[float, np.ndarray]]
@@ -678,8 +680,11 @@ class Simulator:
             arc_id: float(flux_arr[-1, k]) for k, arc_id in enumerate(self.arc_ids)
         }
         splits = np.asarray(split_rows)
+        # static routing is one read-only view per junction, not a copy per
+        # sample; dynamic rows are writable copies
         coefficients = {
-            j.id: np.repeat(j.distribution[None], len(times), axis=0) for j in self.net.junctions
+            j.id: np.broadcast_to(j.distribution.copy(), (len(times), *j.distribution.shape))
+            for j in self.net.junctions
         }
         for k, junc in enumerate(self._dyn_junctions):
             coefficients[junc.id] = splits[:, k, :, None].copy()

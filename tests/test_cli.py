@@ -31,6 +31,25 @@ def test_validate_rejects_bad_scenario(tmp_path, capsys, scenario_file):
     assert "J2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+@pytest.mark.parametrize("old_id", ["S1", "J1"])
+def test_ids_that_would_break_the_csv_are_invalid_input(
+    tmp_path, capsys, scenario_file, old_id, char
+):
+    # the CSVs write ids unquoted, so one of these would split or end a row
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        scenario_file.read_text().replace(json.dumps(old_id), json.dumps(f"{old_id}{char}x"))
+    )
+    out = tmp_path / "out"
+    for argv in (["validate", str(bad)], ["run", str(bad), "--out", str(out)]):
+        assert main(argv) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "comma, quote or line break" in err
+    assert not out.exists()
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/scenario.json"]) == EXIT_INVALID_INPUT
     assert "cannot read" in capsys.readouterr().err

@@ -1,11 +1,26 @@
+import dataclasses
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from tagflow.bench import build_diamond_chain
 from tagflow.network import build_roundabout
 from tagflow.output import write_timeseries
-from tagflow.simulate import SimConfig, Simulator
+from tagflow.scenario import parse_scenario
+from tagflow.simulate import RunResult, SimConfig, Simulator
 
-from helpers import single_arc_network
+from helpers import reference_write_timeseries, single_arc_network
 from tagflow.flux import FluxModel
+
+ROUNDABOUT = Path(__file__).parent.parent / "demos" / "roundabout.json"
+CSV_NAMES = ("densities", "fluxes", "coefficients")
+
+
+def bundled_roundabout(**changes) -> RunResult:
+    net, config = parse_scenario(ROUNDABOUT.read_text())
+    return Simulator(net).run(dataclasses.replace(config, **changes))
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +117,87 @@ def test_static_network_tracer_column_is_placeholder(tmp_path):
         line.split(",")[4] for line in paths["densities"].read_text().splitlines()[1:]
     }
     assert tracer_values == {"0.5"}
+
+
+def hand_made_result() -> RunResult:
+    """Edge-case floats, and arc ids whose sorted order is not network order."""
+    specials = [
+        -0.0, 0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 5e-324, 1e308, 0.1, -0.0
+    ]
+    arc_ids = ["b", "a10", "a2", "a"]
+    cells_per_arc = {"b": 2, "a10": 1, "a2": 3, "a": 2}
+    times = np.array([0.0, 0.1, 0.30000000000000004])
+    pool = np.array(specials)
+    density = np.resize(pool, (3, 8))
+    return RunResult(
+        arc_ids=arc_ids,
+        cells_per_arc=cells_per_arc,
+        junction_arcs={"Jz": (["b", "a2"], ["a10"]), "Ja": (["a10"], ["a", "a2"])},
+        times=times,
+        arc_fluxes=np.resize(pool[::-1], (3, 4)),
+        coefficients={
+            "Jz": np.resize(np.roll(pool, 3), (3, 1, 2)),
+            "Ja": np.broadcast_to(np.array([[-0.0], [5e-324]]), (3, 2, 1)),
+        },
+        density=density,
+        tracer=np.roll(density, 1, axis=1),
+        first_arrival_coefficients={},
+        equilibrium_time=None,
+        summary={},
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: bundled_roundabout(t_end=25.0), id="roundabout"),
+        pytest.param(
+            lambda: bundled_roundabout(t_end=25.0, coefficient_mode="static"),
+            id="roundabout-static",
+        ),
+        pytest.param(
+            lambda: Simulator(build_diamond_chain(40, 5)).run(SimConfig(t_end=2.0)),
+            id="tracer-free-chain",
+        ),
+        pytest.param(
+            lambda: bundled_roundabout(t_end=5.0, record_profiles=False), id="no-profiles"
+        ),
+        pytest.param(hand_made_result, id="hand-made"),
+    ],
+)
+def test_writer_matches_the_row_at_a_time_reference(make, tmp_path):
+    result = make()
+    got = write_timeseries(result, tmp_path / "new")
+    want = reference_write_timeseries(result, tmp_path / "reference")
+    assert sorted(got) == sorted(want)
+    for name in CSV_NAMES:
+        if name in want:
+            assert got[name].read_bytes() == want[name].read_bytes(), name
+
+
+def test_hand_made_result_reaches_every_edge_case(tmp_path):
+    paths = write_timeseries(hand_made_result(), tmp_path)
+    rows = paths["densities"].read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows[:8]] == ["a"] * 2 + ["a10"] + ["a2"] * 3 + ["b"] * 2
+    assert {"-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"} <= {
+        row.split(",")[3] for row in rows
+    }
+
+
+def _traced_write_peak(result: RunResult, out_dir: Path) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        write_timeseries(result, out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_does_not_grow_with_the_run(tmp_path):
+    short = bundled_roundabout(t_end=25.0)
+    long = bundled_roundabout(t_end=100.0)
+    short_peak = _traced_write_peak(short, tmp_path / "short")
+    long_peak = _traced_write_peak(long, tmp_path / "long")
+    assert long_peak <= 1.2 * short_peak
+    assert long_peak < long.density.nbytes / 4

@@ -281,6 +281,22 @@ def test_static_mode_freezes_coefficients():
     assert res.summary["final_fluxes"]["S3"] != pytest.approx(0.1, rel=1e-3)
 
 
+def test_static_routing_is_one_read_only_view_per_junction():
+    net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=10)
+    res = Simulator(net).run(SimConfig(t_end=2.0))
+    n_samples = len(res.times)
+    for junc in net.junctions:
+        entry = res.coefficients[junc.id]
+        assert entry.shape == (n_samples, *junc.distribution.shape)
+        if junc.coefficient_mode == "dynamic":
+            assert entry.flags.writeable
+        else:
+            assert entry.strides[0] == 0
+            assert not entry.flags.writeable
+            np.testing.assert_array_equal(entry[-1], junc.distribution)
+    assert {j.coefficient_mode for j in net.junctions} == {"dynamic", "static"}
+
+
 def test_zero_inflow_run_detects_immediate_equilibrium():
     net = build_roundabout(0.5, 0.5, 0.0, 0.0, cells_per_arc=10)
     res = Simulator(net).run(SimConfig(t_end=10.0))

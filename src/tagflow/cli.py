@@ -38,11 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory for CSV/JSON artifacts")
 
     p_round = sub.add_parser("roundabout", help="simulate the built-in roundabout")
-    p_round.add_argument("--alpha", type=float, default=0.5, help="S1 share exiting at S3")
-    p_round.add_argument("--beta", type=float, default=0.5, help="S2 share exiting at S4")
-    p_round.add_argument("--rho1", type=float, default=_DEFAULT_RHO, help="S1 entry density")
-    p_round.add_argument("--rho2", type=float, default=_DEFAULT_RHO, help="S2 entry density")
-    p_round.add_argument("--cells", type=int, default=50, help="cells per arc")
+    _add_roundabout_options(p_round)
     p_round.add_argument("--t-end", type=float, default=100.0, help="simulated time span")
     mode = p_round.add_mutually_exclusive_group()
     mode.add_argument(
@@ -69,12 +65,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--steps", type=int, default=500, help="number of time steps")
 
     p_show = sub.add_parser("scenario", help="print the roundabout as a scenario file")
-    p_show.add_argument("--alpha", type=float, default=0.5)
-    p_show.add_argument("--beta", type=float, default=0.5)
-    p_show.add_argument("--rho1", type=float, default=_DEFAULT_RHO)
-    p_show.add_argument("--rho2", type=float, default=_DEFAULT_RHO)
-    p_show.add_argument("--cells", type=int, default=50)
+    _add_roundabout_options(p_show)
     return parser
+
+
+def _add_roundabout_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=float, default=0.5, help="S1 share exiting at S3")
+    parser.add_argument("--beta", type=float, default=0.5, help="S2 share exiting at S4")
+    parser.add_argument("--rho1", type=float, default=_DEFAULT_RHO, help="S1 entry density")
+    parser.add_argument("--rho2", type=float, default=_DEFAULT_RHO, help="S2 entry density")
+    parser.add_argument("--cells", type=int, default=50, help="cells per arc")
+
+
+def _build_roundabout(args):
+    """The roundabout the options describe, or None once stderr says why not."""
+    try:
+        return build_roundabout(args.alpha, args.beta, args.rho1, args.rho2, args.cells)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
 
 
 def _load_scenario(path: str):
@@ -132,10 +141,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_roundabout(args) -> int:
-    try:
-        net = build_roundabout(args.alpha, args.beta, args.rho1, args.rho2, args.cells)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    net = _build_roundabout(args)
+    if net is None:
         return EXIT_INVALID_INPUT
     try:
         config = SimConfig(
@@ -186,10 +193,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    try:
-        net = build_roundabout(args.alpha, args.beta, args.rho1, args.rho2, args.cells)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    net = _build_roundabout(args)
+    if net is None:
         return EXIT_INVALID_INPUT
     sys.stdout.write(write_scenario(net))
     return EXIT_OK

@@ -278,16 +278,17 @@ KERNELS = {"diverge": diverge, "merge": merge, "general": general}
 def solve(p: JunctionProblem) -> JunctionFluxSolution:
     """Optimal junction allocation with priority tie-breaking.
 
-    gamma_in maximizes total admitted flux over {0 <= gamma <= demands,
-    distribution @ gamma <= supplies}; gamma_out is the routed image, so
-    the node balance sum(gamma_in) == sum(gamma_out) holds exactly
-    whenever the distribution columns each sum to one.
+    gamma_in, the kernel's answer as a simulation step takes it,
+    maximizes total admitted flux over {0 <= gamma <= demands,
+    distribution @ gamma <= supplies}, the supplies to rounding;
+    gamma_out is the routed image, so the node balance sum(gamma_in) ==
+    sum(gamma_out) holds whenever the distribution columns sum to one.
     """
     order = priority_order(p.priority)
     kernel = KERNELS[classify(p.distribution)]
     gamma = np.empty(p.n_in)
     gamma[order] = kernel(p.demands[None, order], p.supplies[None], p.distribution[None][:, :, order])[0]
-    return _finish(p, gamma)
+    return JunctionFluxSolution(gamma_in=gamma, gamma_out=p.distribution @ gamma)
 
 
 def linprog(*args, **kwargs):

@@ -5,18 +5,19 @@ junctions, reservoir inflows, absorbing outflows, destination-tracer
 transport, and steady-state detection.
 
 Every step has two phases.  Phase 1 is read-only: one flux per cell
-interface is computed, using the interface rule inside arcs, the
-junction allocation at arc ends, min(reservoir demand, first-cell
-supply) at sources and the last cell's demand at sinks.  Phase 2 applies
-the conservative update to every cell, transports tracer mass with the
-donor-cell value of each flux, and refreshes the dynamic exit splits
-from the composition that actually arrived.  Nothing in phase 2 feeds
-back into phase 1 of the same step, so cell updates are order-free.
+interface is computed, using the interface rule inside arcs and the
+junction allocation at every arc end.  Phase 2 applies the conservative
+update to every cell, transports tracer mass with the donor-cell value
+of each flux, and refreshes the dynamic exit splits from the
+composition that actually arrived.  Nothing in phase 2 feeds back into
+phase 1 of the same step, so cell updates are order-free.
 
 The state is arrays only: density and tracer per cell, one exit split
-per dynamic junction.  The junctions form one table, a row each, which
-phase 1 solves by one kernel call per kind.  Simulator.run is the one
-time loop.
+per dynamic junction.  Every arc end is a row of one junction table,
+solved by one kernel call per kind: a reservoir's row admits
+min(reservoir demand, first-cell supply) into its source arc, and a
+sink arc sends its last cell's demand to an outlet of infinite supply.
+Simulator.run is the one time loop.
 
 The tracer phi is the fraction of a cell's mass bound for the marked
 exit class.  At a dynamic exit junction the bulk split follows the
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import junctions as _junctions
 from .flux import FluxModel
-from .network import Junction, Network
+from .network import BoundaryCondition, Junction, Network
 
 __all__ = [
     "EPS_FLUX",
@@ -223,16 +224,16 @@ class Simulator:
     """Stepping engine bound to one validated network.
 
     Construction flattens all arcs into one cell array and stacks every
-    junction as one row of one table, padded to the widest junction and
-    sorted by kind.  A step solves each kind's rows in one call to its
-    kernel in junctions.KERNELS, then routes bulk and tracer flux by the
-    same formula for every junction.  Instances hold no per-run state
-    and may be shared across runs, but one SimState must only ever be
-    advanced by one thread at a time.
+    junction, reservoir and sink end as one row of one table, padded to
+    the widest row and sorted by kind.  A step solves each kind's rows
+    in one call to its kernel in junctions.KERNELS, then routes bulk and
+    tracer flux by the same formula for every row.  Instances hold no
+    per-run state and may be shared across runs, but one SimState must
+    only ever be advanced by one thread at a time.
 
-    Work buffers: demand, supply, interface differences, one cell array;
-    only a network with a tracer adds the clipped tracer and its donor
-    tables.
+    Work buffers: demand and supply over the cells and the table's
+    slots, interface differences, one cell array; only a network with a
+    tracer adds the clipped tracer, over the cells and slots too.
     """
 
     def __init__(self, net: Network):
@@ -258,36 +259,26 @@ class Simulator:
         right_iface = self._left_iface + 1
         self.total_ifaces = self.total_cells + len(arcs)
 
-        interior = np.nonzero(arc_of_cell[:-1] == arc_of_cell[1:])[0]
-        self._int_left_cell = interior
-        self._int_right_cell = interior + 1
-        self._int_iface = right_iface[interior]
+        self._int_left_cell = np.nonzero(arc_of_cell[:-1] == arc_of_cell[1:])[0]
+        self._int_iface = right_iface[self._int_left_cell]
 
-        first_cell = self.cell_offsets[:-1]
-        last_cell = self.cell_offsets[1:] - 1
-        self.arc_first_iface = self._left_iface[first_cell]
-        self.arc_last_iface = right_iface[last_cell]
-        self._arc_first_cell = first_cell
-        self._arc_last_cell = last_cell
+        self._arc_first_cell = self.cell_offsets[:-1]
+        self._arc_last_cell = self.cell_offsets[1:] - 1
+        self.arc_first_iface = self._left_iface[self._arc_first_cell]
+        self.arc_last_iface = right_iface[self._arc_last_cell]
 
-        self._build_boundaries()
-        self._build_junction_table()
+        reservoirs = self._build_junction_table()
         self.tracer_enabled = bool(self._dyn_junctions)
         self._check_interface_cover()
 
         # work buffers for the hot path; these make compute_fluxes/apply
         # non-reentrant, so a Simulator must not step from two threads
-        # _D and _S hold one more slot, the dead cell, which stays 0
-        self._D = np.zeros(self.total_cells + 1)
-        self._S = np.zeros(self.total_cells + 1)
-        self._phi = None
-        if self.tracer_enabled:
-            # the clipped tracer, the dead cell's 0, then each reservoir's
-            # tracer: the donor values of every interface outside junctions
-            self._phi = np.concatenate([np.zeros(self.total_cells + 1), self._src_tracer])
-            reservoir = self.total_cells + 1 + np.arange(self._src_cell.size)
-            self._donor_iface = np.concatenate([self._int_iface, self._src_iface, self._snk_iface])
-            self._donor_cell = np.concatenate([self._int_left_cell, reservoir, self._snk_cell])
+        # the cells and the dead cell, then the reservoirs and the outlet
+        head = np.zeros(self.total_cells + 1)
+        self._D = np.concatenate([head, [self.model.demand(bc.rho_bar) for bc in reservoirs], [0.0]])
+        self._S = np.concatenate([head, np.zeros(len(reservoirs)), [np.inf]])
+        tracer = [bc.tracer_in for bc in reservoirs]
+        self._phi = np.concatenate([head, tracer, [0.0]]) if self.tracer_enabled else None
         self._adj = np.empty(max(self.total_cells - 1, 0))
         self._iface_diff = np.empty(max(self.total_ifaces - 1, 0))
         self._work = np.empty(self.total_cells)
@@ -295,70 +286,67 @@ class Simulator:
 
     # -- layout ------------------------------------------------------------
 
-    def _build_boundaries(self):
-        src, snk = [], []
-        for k, arc in enumerate(self.net.arcs):
-            if self.net.upstream_junction(arc.id) is None:
-                src.append(k)
-            if self.net.downstream_junction(arc.id) is None:
-                snk.append(k)
-        src = np.array(src, dtype=np.intp)
-        snk = np.array(snk, dtype=np.intp)
-        self._src_cell = self._arc_first_cell[src]
-        self._src_iface = self.arc_first_iface[src]
-        self._snk_cell = self._arc_last_cell[snk]
-        self._snk_iface = self.arc_last_iface[snk]
-        caps, tracers = [], []
-        for k in src:
-            bc = self.net.bc_for(self.net.arcs[k].id)
-            caps.append(self.model.demand(bc.rho_bar))
-            tracers.append(bc.tracer_in)
-        self._src_cap = np.array(caps)
-        self._src_tracer = np.array(tracers)
+    def _build_junction_table(self) -> list[BoundaryCondition]:
+        """Stack every arc end as one row of the junction table.
 
-    def _build_junction_table(self):
-        """Stack every junction as one row of the junction table.
+        After the network's junctions comes a one-in/one-out row, with
+        routing [[1.0]], from each reservoir into its source arc and from
+        each sink arc into the outlet.  Past the cells, demand, supply and
+        tracer hold the slots those rows read: the dead cell total_cells,
+        a slot per reservoir in arc order, then the outlet, whose supply
+        is infinite.  On a slot's side a row has the scratch interface
+        total_ifaces, which no cell reads.  Returns the reservoirs'
+        boundary conditions, whose demand and tracer fill their slots.
 
         Rows are sorted by kind, stably, so each kind is one contiguous
         row range and the dynamic exits keep network order, the row
         order of exit_splits.  in_cell and in_iface are (J, n_in) with
         incoming arcs in priority order, out_cell and out_iface are
         (J, n_out), and routing is (J, n_out, n_in), zero in the padding
-        and exactly 1 on a merge's row.  Padding points at the dead cell
-        total_cells, whose demand, supply and tracer stay 0, and at the
-        scratch interface total_ifaces, which no cell reads.
+        and exactly 1 on a merge's row.  Padding points at the dead cell,
+        whose demand, supply and tracer stay 0, and the scratch interface.
         """
         idx = self._arc_index
         net_juncs = self.net.junctions
+        sources = [idx[a] for a in self.net.source_arc_ids]
+        sinks = [idx[a] for a in self.net.sink_arc_ids]
+        # arc n_arcs + s stands for slot total_cells + s
+        n_arcs = len(self.arc_ids)
+        outlet = n_arcs + 1 + len(sources)
+        ends = [([n_arcs + 1 + r], [k]) for r, k in enumerate(sources)] + [([k], [outlet]) for k in sinks]
+        incoming = [[idx[a] for a in j.incoming] for j in net_juncs] + [i for i, _ in ends]
+        outgoing = [[idx[a] for a in j.outgoing] for j in net_juncs] + [o for _, o in ends]
+        distributions = [j.distribution for j in net_juncs] + [np.ones((1, 1))] * len(ends)
+        orders = [_junctions.priority_order(j.priority) for j in net_juncs] + [[0]] * len(ends)
+
         kinds = list(_junctions.KERNELS)
-        kind = np.array([kinds.index(_junctions.classify(j.distribution)) for j in net_juncs], np.intp)
+        kind = np.array([kinds.index(_junctions.classify(d)) for d in distributions], np.intp)
         rows = np.argsort(kind, kind="stable").tolist()
-        juncs = [net_juncs[k] for k in rows]
-        n_in = np.array([len(j.incoming) for j in juncs], dtype=np.intp)
-        n_out = np.array([len(j.outgoing) for j in juncs], dtype=np.intp)
+        n_in = np.array([len(incoming[r]) for r in rows], dtype=np.intp)
+        n_out = np.array([len(outgoing[r]) for r in rows], dtype=np.intp)
         in_slot = np.arange(n_in.max(initial=1)) < n_in[:, None]
         out_slot = np.arange(n_out.max(initial=1)) < n_out[:, None]
         # rank[r, c] is the incoming position that column c of row r
         # holds; a padding column keeps its own position, which is empty
-        rank = np.tile(np.arange(in_slot.shape[1]), (len(juncs), 1))
-        rank[in_slot] = [i for j in juncs for i in _junctions.priority_order(j.priority)]
+        rank = np.tile(np.arange(in_slot.shape[1]), (len(rows), 1))
+        rank[in_slot] = [i for r in rows for i in orders[r]]
 
-        # arc n_arcs is the padding: its cells are the dead cell and its
-        # interfaces the scratch interface
-        in_arcs = np.full(in_slot.shape, len(self.arc_ids), dtype=np.intp)
-        in_arcs[in_slot] = [idx[a] for j in juncs for a in j.incoming]
+        in_arcs = np.full(in_slot.shape, n_arcs, dtype=np.intp)
+        in_arcs[in_slot] = [a for r in rows for a in incoming[r]]
         in_arcs = np.take_along_axis(in_arcs, rank, axis=1)
-        out_arcs = np.full(out_slot.shape, len(self.arc_ids), dtype=np.intp)
-        out_arcs[out_slot] = [idx[a] for j in juncs for a in j.outgoing]
-        self._in_cell = np.append(self._arc_last_cell, self.total_cells)[in_arcs]
-        self._in_iface = np.append(self.arc_last_iface, self.total_ifaces)[in_arcs]
-        self._out_cell = np.append(self._arc_first_cell, self.total_cells)[out_arcs]
-        self._out_iface = np.append(self.arc_first_iface, self.total_ifaces)[out_arcs]
+        out_arcs = np.full(out_slot.shape, n_arcs, dtype=np.intp)
+        out_arcs[out_slot] = [a for r in rows for a in outgoing[r]]
+        slots = self.total_cells + np.arange(len(sources) + 2)
+        scratch = np.full(slots.size, self.total_ifaces)
+        self._in_cell = np.concatenate([self._arc_last_cell, slots])[in_arcs]
+        self._in_iface = np.concatenate([self.arc_last_iface, scratch])[in_arcs]
+        self._out_cell = np.concatenate([self._arc_first_cell, slots])[out_arcs]
+        self._out_iface = np.concatenate([self.arc_first_iface, scratch])[out_arcs]
 
+        # every valid network has a row: an arc is fed by a junction or a reservoir
         routing = np.zeros(out_slot.shape + in_slot.shape[1:])
-        if juncs:
-            real = out_slot[:, :, None] & in_slot[:, None, :]
-            routing[real] = np.concatenate([j.distribution for j in juncs], axis=None)
+        real = out_slot[:, :, None] & in_slot[:, None, :]
+        routing[real] = np.concatenate([distributions[r] for r in rows], axis=None)
         merges = kind[rows] == kinds.index("merge")
         routing[merges, 0] = in_slot[merges]
         self._routing = np.take_along_axis(routing, rank[:, None, :], axis=2)
@@ -371,6 +359,9 @@ class Simulator:
             for name, start, stop in zip(kinds, [0] + stops, stops)
             if stop > start
         ]
+        # the boundary totals sum in arc order
+        self._inflow_iface = self.arc_first_iface[sources]
+        self._outflow_iface = self.arc_last_iface[sinks]
         # the balance check reads the network's own arc lists, not the table
         self._balance_in = self.arc_last_iface[[idx[a] for j in net_juncs for a in j.incoming]]
         self._balance_out = self.arc_first_iface[[idx[a] for j in net_juncs for a in j.outgoing]]
@@ -381,9 +372,10 @@ class Simulator:
 
         # dynamic exits (one in, two out) are diverge rows; _dyn_split
         # holds the flat indices of routing[dyn, :2, 0], their splits
-        dyn = np.flatnonzero([j.coefficient_mode == "dynamic" for j in juncs])
+        mode = [j.coefficient_mode for j in net_juncs] + [None] * len(ends)
+        dyn = np.flatnonzero([mode[r] == "dynamic" for r in rows])
         self._dyn_split = np.ravel_multi_index((dyn[:, None], [0, 1], 0), self._routing.shape)
-        self._dyn_junctions = dynamic = [juncs[r] for r in dyn]
+        self._dyn_junctions = dynamic = [net_juncs[rows[p]] for p in dyn]
         exit_col = np.array([j.outgoing.index(j.exit_arc) for j in dynamic], dtype=np.intp)
         self._dyn_exit_mask = exit_col[:, None] == [0, 1]
         self._dyn_takes_marked = np.array([j.exit_tracer == 1.0 for j in dynamic], dtype=bool)
@@ -391,10 +383,11 @@ class Simulator:
         self._dyn_in_iface = self._in_iface[dyn, 0]
         self._dyn_exit_iface = self._out_iface[dyn, exit_col]
         self._dyn_other_iface = self._out_iface[dyn, 1 - exit_col]
+        return [self.net.bc_for(self.arc_ids[k]) for k in sources]
 
     def _check_interface_cover(self):
         cover = np.zeros(self.total_ifaces + 1, dtype=int)
-        for arr in (self._int_iface, self._src_iface, self._snk_iface, self._in_iface, self._out_iface):
+        for arr in (self._int_iface, self._in_iface, self._out_iface):
             np.add.at(cover, arr, 1)
         if not np.all(cover[:-1] == 1):
             raise AssertionError("internal layout error: interface not covered exactly once")
@@ -438,19 +431,18 @@ class Simulator:
 
     def compute_fluxes(self, state: SimState) -> FluxSnapshot:
         """One bulk flux (and tracer flux) per interface; read-only."""
+        n = self.total_cells
         demand, supply = self.model.demand_and_supply(
-            state.rho, out_demand=self._D[:-1], out_supply=self._S[:-1], check=False
+            state.rho, out_demand=self._D[:n], out_supply=self._S[:n], check=False
         )
         # the last slot is the scratch interface
         F = np.empty(self.total_ifaces + 1)
 
-        if self.total_cells > 1:
+        if n > 1:
             adjacent = np.minimum(demand[:-1], supply[1:], out=self._adj)
             F[self._int_iface] = adjacent[self._int_left_cell]
-        F[self._src_iface] = np.minimum(self._src_cap, supply[self._src_cell])
-        F[self._snk_iface] = demand[self._snk_cell]
 
-        # one kernel call per kind, then one routing formula for every junction
+        # one kernel call per kind, then one routing formula for every row
         routing = self._routing
         routing.flat[self._dyn_split] = state.exit_splits
         d = self._D[self._in_cell]
@@ -465,25 +457,26 @@ class Simulator:
         return FluxSnapshot(
             fluxes=F[:-1],
             tracer_fluxes=Fphi,
-            inflow_total=float(np.add.reduce(F[self._src_iface])),
-            outflow_total=float(np.add.reduce(F[self._snk_iface])),
+            inflow_total=float(np.add.reduce(F[self._inflow_iface])),
+            outflow_total=float(np.add.reduce(F[self._outflow_iface])),
         )
 
     def _tracer_fluxes(self, state: SimState, F: np.ndarray) -> np.ndarray:
         """Tracer mass flux per interface, the scratch interface last.
 
         Bulk flux times donor value: flow never runs backwards, so the
-        donor of every in-arc interface is the cell (or reservoir, or
-        junction mixture) on its left.  Junctions mix in proportion to
-        routed flux; dynamic exits then sort by destination.
+        donor inside an arc is the cell on the left.  A table row takes
+        its admitted flux _gamma (F is scratch on a reservoir's side)
+        times the tracer of each incoming cell or slot.  Rows mix in
+        proportion to routed flux; dynamic exits then sort by destination.
         """
         phi = self._phi
         cells = phi[: self.total_cells]
         np.minimum(np.maximum(state.phi, 0.0, out=cells), 1.0, out=cells)
         Fphi = np.empty(self.total_ifaces + 1)
-        Fphi[self._donor_iface] = F[self._donor_iface] * phi[self._donor_cell]
+        Fphi[self._int_iface] = F[self._int_iface] * phi[self._int_left_cell]
 
-        per_in = F[self._in_iface] * phi[self._in_cell]
+        per_in = self._gamma * phi[self._in_cell]
         Fphi[self._in_iface] = per_in
         Fphi[self._out_iface] = np.minimum(np.einsum("bji,bi->bj", self._routing, per_in), F[self._out_iface])
 

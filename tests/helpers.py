@@ -240,6 +240,15 @@ def mixed_kind_network() -> Network:
     return Network(model=model, arcs=arcs, junctions=junctions, boundary_conditions=bcs)
 
 
+def ring_network() -> Network:
+    """A closed ring of three arcs and three one-in/one-out junctions:
+    no reservoir feeds it and no outlet drains it, so its mass only
+    circulates."""
+    arcs = [Arc(a, 0.0, 1.0, n, "circle") for a, n in (("R0", 4), ("R1", 5), ("R2", 6))]
+    junctions = [Junction(f"K{k}", [f"R{k}"], [f"R{(k + 1) % 3}"], [[1.0]]) for k in range(3)]
+    return Network(model=FluxModel(), arcs=arcs, junctions=junctions, boundary_conditions=[])
+
+
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 

@@ -17,7 +17,7 @@ from tagflow.output import write_timeseries
 from tagflow.scenario import parse_scenario
 from tagflow.simulate import Simulator
 
-from helpers import mixed_kind_network
+from helpers import hub_network, mixed_kind_network, ring_network
 
 ROUNDABOUT = Path(__file__).parent.parent / "demos" / "roundabout.json"
 
@@ -36,8 +36,17 @@ STATE_SHA256 = {
         "rho": "db7fb27caa5c13be9f31c8b66aa5bc5d50aabce5c28759738eda0c89fe3d370b",
         "phi": "04b4db5f854297ff9c562732527119506769c9a14254f0b58120f7fa745eba9b",
     },
+    "ring": {"rho": "2110e26cc6145e5dc43802ee22af002378d306e260596c9eef4b5235b002c332"},
+    "hub": {"rho": "9dc2347f969384c9c2b83e676132f848580c54a68631e073c6138096986ae8de"},
 }
-NETWORKS = {"diamond-chain": lambda: build_diamond_chain(40, 5), "mixed": mixed_kind_network}
+NETWORKS = {
+    "diamond-chain": lambda: build_diamond_chain(40, 5),
+    "mixed": mixed_kind_network,
+    # no reservoir and no outlet
+    "ring": ring_network,
+    # one general junction; every other table row is a reservoir or a sink arc
+    "hub": lambda: hub_network(6, 3, seed=5),
+}
 
 
 def _sha256(data: bytes) -> str:

@@ -11,6 +11,7 @@ from scipy import sparse
 from tagflow.junctions import (
     _LP_OPTIONS,
     _TOTAL_SLACK,
+    KERNELS,
     JunctionFluxSolution,
     JunctionProblem,
     _finish,
@@ -146,6 +147,18 @@ def test_conservation_on_random_problems():
         assert np.all(sol.gamma_in >= -1e-15)
         assert np.all(sol.gamma_in <= p.demands + 1e-12)
         assert np.all(p.distribution @ sol.gamma_in <= p.supplies + 1e-9)
+
+
+def test_solve_returns_the_kernel_answer_bitwise():
+    # a simulation step takes the batch kernel's answer as it is, with
+    # no clip or rescale, and solve gives that same answer
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        p = random_junction_problem(rng)
+        order = priority_order(p.priority)
+        kernel = KERNELS[classify(p.distribution)]
+        alone = kernel(p.demands[None, order], p.supplies[None], p.distribution[None][:, :, order])[0]
+        np.testing.assert_array_equal(solve(p).gamma_in[order], alone)
 
 
 def test_objective_monotone_in_supply():

@@ -616,7 +616,9 @@ def test_every_in_degree_steps_without_the_lp(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "network", [mixed_kind_network, lambda: build_diamond_chain(40, 3)], ids=["mixed", "diamond-chain"]
+    "network",
+    [mixed_kind_network, lambda: build_diamond_chain(40, 3), lambda: hub_network(3, 2)],
+    ids=["mixed", "diamond-chain", "hub"],
 )
 def test_each_kind_is_solved_in_one_call_per_step(monkeypatch, network):
     calls = dict.fromkeys(KERNELS, 0)
@@ -632,6 +634,9 @@ def test_each_kind_is_solved_in_one_call_per_step(monkeypatch, network):
         monkeypatch.setitem(KERNELS, kind, counted(kind, kernel))
     net = network()
     present = {classify(j.distribution) for j in net.junctions}
+    # a reservoir or a sink arc is a one-in/one-out row, solved with the diverges
+    if net.source_arc_ids or net.sink_arc_ids:
+        present.add("diverge")
     sim = Simulator(net)
     state = sim.init_state()
     for _ in range(25):

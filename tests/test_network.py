@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -263,6 +264,219 @@ def test_validate_rejects_double_use_of_an_arc():
     ]
     net = Network(UNIT, arcs, junctions, [BoundaryCondition("A", 0.1)])
     assert any("consumed by 2 junctions" in msg for msg in net.validate())
+
+
+_KINDS = {"in": "external_in", "out": "external_out", "gen": "generic"}
+
+
+def _arcs(spec):
+    """'A:in B:out' -> unit arcs of two cells with those ids and kinds."""
+    words = (word.split(":") for word in spec.split())
+    return [Arc(arc_id, 0.0, 1.0, 2, _KINDS.get(kind, kind)) for arc_id, kind in words]
+
+
+def _net(arcs, junctions, bcs=("A",)):
+    """arcs as an _arcs spec or a list; a bare arc id in bcs is fed at 0.1."""
+    arcs = _arcs(arcs) if isinstance(arcs, str) else arcs
+    bcs = [bc if isinstance(bc, BoundaryCondition) else BoundaryCondition(bc, 0.1) for bc in bcs]
+    return Network(UNIT, arcs, junctions, bcs)
+
+
+def _line(arcs="A:in B:out", bcs=("A",), **fields):
+    """A -J-> B, fed at A; fields go to the junction."""
+    return _net(arcs, [Junction("J", ["A"], ["B"], **{"distribution": [[1.0]], **fields})], bcs)
+
+
+def _arc_a(**attrs):
+    """_line with the given attributes of arc A."""
+    arcs = _arcs("A:in B:out")
+    vars(arcs[0]).update(attrs)
+    return _line(arcs)
+
+
+def _split(**fields):
+    """A -J-> B and C, fed at A."""
+    junction = Junction("J", ["A"], ["B", "C"], **{"distribution": [[0.5], [0.5]], **fields})
+    return _net("A:in B:out C:out", [junction])
+
+
+def _merge(**fields):
+    """A and B -J-> C, both fed."""
+    junction = Junction("J", ["A", "B"], ["C"], **{"distribution": [[1.0, 1.0]], **fields})
+    return _net("A:in B:in C:out", [junction], ("A", "B"))
+
+
+def _pair(arcs, first, second, bcs=("A",)):
+    """Two one-to-one junctions J and K, each given as (incoming, outgoing)."""
+    junctions = [Junction(jid, [a], [b], [[1.0]]) for jid, (a, b) in (("J", first), ("K", second))]
+    return _net(arcs, junctions, bcs)
+
+
+def _several_faults():
+    arcs = _arcs("A:in A:out B:ramp C:gen C,D:gen")
+    arcs[2].n_cells = 0
+    arcs[3].a = 2.0
+    junctions = [
+        Junction("J", ["A", "B"], ["C", "MISSING"], [[1.5, 1.0], [-0.6, 0.5]], priority=[0.7, 0.2]),
+        Junction("K", ["C"], ["A", "C"], [[0.5], [0.5]], coefficient_mode="dynamic", exit_arc="B"),
+        Junction("J", [], ["C,D"], [[1.0]]),
+    ]
+    bcs = [BoundaryCondition("C", 2.0, -0.5), BoundaryCondition("C", 0.1), BoundaryCondition("Z", 0.1)]
+    return _net(arcs, junctions, bcs)
+
+
+_VALIDATE_CASES = {
+    "valid": (_line, []),
+    "duplicate-arc": (lambda: _line("A:in B:out B:out"), ["arc B: duplicate id"]),
+    "arc-id-csv": (
+        lambda: _net('A:in B"1:out', [Junction("J", ["A"], ['B"1'], [[1.0]])]),
+        ["arc 'B\"1': id holds a comma, quote or line break"],
+    ),
+    "infinite-length": (lambda: _arc_a(b=math.inf), ["arc A: a=0.0, b=inf give no finite length"]),
+    "empty-arc": (lambda: _arc_a(a=1.0), ["arc A: b=1.0 must exceed a=1.0"]),
+    "no-cells": (lambda: _arc_a(n_cells=0), ["arc A: n_cells must be >= 1"]),
+    "unknown-kind": (lambda: _line("A:ramp B:out"), ["arc A: unknown kind 'ramp'"]),
+    "no-arcs": (lambda: _net([], [], ()), ["network has no arcs"]),
+    "too-many-cells": (
+        lambda: _arc_a(n_cells=2**62),
+        [f"network has {2**62 + 2} cells, more than an array can index"],
+    ),
+    "duplicate-junction": (
+        lambda: _net("A:in B:gen C:out", [Junction(jid, [a], [b], [[1.0]]) for jid, a, b in ("JAB", "JBC")]),
+        ["junction J: duplicate id"],
+    ),
+    "junction-id-csv": (
+        lambda: _net("A:in B:out", [Junction("J\n", ["A"], ["B"], [[1.0]])]),
+        ["junction 'J\\n': id holds a comma, quote or line break"],
+    ),
+    "dangling": (
+        lambda: _net("A:in B:out", [Junction("J", ["A"], ["B", "Z"], [[0.5], [0.5]])]),
+        ["junction J: dangling reference to arc Z"],
+    ),
+    "arc-twice": (
+        lambda: _net("A:in B:out", [Junction("J", ["A", "A"], ["B"], [[1.0, 1.0]])]),
+        ["junction J: an arc appears twice", "arc A: consumed by 2 junctions"],
+    ),
+    "no-outgoing": (
+        lambda: _net("A:in", [Junction("J", ["A"], [], np.zeros((0, 1)))]),
+        [
+            "junction J: needs at least one incoming and one outgoing arc",
+            "junction J: distribution column 0 mass 0 != 1",
+        ],
+    ),
+    "distribution-shape": (
+        lambda: _line(distribution=[[0.5, 0.5]]),
+        ["junction J: distribution shape (1, 2) does not match (1, 1)"],
+    ),
+    "non-finite-entry": (
+        lambda: _split(distribution=[[math.nan], [0.5]]),
+        ["junction J: non-finite distribution entry"],
+    ),
+    "negative-entry": (
+        lambda: _split(distribution=[[1.5], [-0.5]]),
+        ["junction J: negative distribution entry"],
+    ),
+    "column-mass": (
+        lambda: _merge(distribution=[[1.0, 0.25]]),
+        ["junction J: distribution column 1 mass 0.25 != 1"],
+    ),
+    "priority-length": (lambda: _merge(priority=[1.0]), ["junction J: priority length != incoming arcs"]),
+    "non-finite-priority": (
+        lambda: _merge(priority=[math.inf, 0.0]),
+        ["junction J: non-finite priority weight"],
+    ),
+    "priority-range": (lambda: _merge(priority=[1.5, -0.5]), ["junction J: priority weights outside [0, 1]"]),
+    "priority-sum": (lambda: _merge(priority=[0.5, 0.4]), ["junction J: priority weights must sum to 1"]),
+    "coefficient-mode": (
+        lambda: _line(coefficient_mode="adaptive"),
+        ["junction J: unknown coefficient_mode 'adaptive'"],
+    ),
+    "dynamic-shape": (
+        lambda: _line(coefficient_mode="dynamic", exit_arc="B"),
+        ["junction J: dynamic mode requires 1 incoming and 2 outgoing arcs"],
+    ),
+    "exit-arc": (
+        lambda: _split(coefficient_mode="dynamic", exit_arc="A"),
+        ["junction J: exit_arc must name one of its outgoing arcs"],
+    ),
+    "exit-tracer": (
+        lambda: _split(coefficient_mode="dynamic", exit_arc="B", exit_tracer=0.5),
+        ["junction J: exit_tracer must be 0 or 1"],
+    ),
+    "consumed-twice": (
+        lambda: _pair("A:in B:out C:out", ("A", "B"), ("A", "C")),
+        ["arc A: consumed by 2 junctions"],
+    ),
+    "produced-twice": (
+        lambda: _pair("A:in B:in C:out", ("A", "C"), ("B", "C"), ("A", "B")),
+        ["arc C: produced by 2 junctions"],
+    ),
+    "two-boundary-conditions": (lambda: _line(bcs=("A", "A")), ["arc A: multiple boundary conditions"]),
+    "boundary-condition-missing-arc": (
+        lambda: _line(bcs=("A", "Z")),
+        ["boundary condition references missing arc Z"],
+    ),
+    "boundary-condition-not-source": (
+        lambda: _line(bcs=("A", "B")),
+        ["arc B: boundary condition on a non-source arc"],
+    ),
+    "rho-bar": (
+        lambda: _line(bcs=[BoundaryCondition("A", 1.5)]),
+        ["arc A: rho_bar 1.5 outside [0, 1.0]"],
+    ),
+    "tracer-in": (
+        lambda: _line(bcs=[BoundaryCondition("A", 0.1, 2.0)]),
+        ["arc A: tracer_in 2.0 outside [0, 1]"],
+    ),
+    "no-inflow": (lambda: _line(bcs=()), ["arc A: no upstream junction and no boundary condition"]),
+    "external-in-fed": (lambda: _line("A:in B:in"), ["arc B: external_in but fed by a junction"]),
+    "external-out-consumed": (
+        lambda: _line("A:out B:out"),
+        ["arc A: external_out but consumed by a junction"],
+    ),
+    "circle-end": (lambda: _line("A:in B:circle"), ["arc B: circle arc must connect two junctions"]),
+    "three-components": (
+        lambda: _pair("A:in B:out C:in D:out E:gen", ("A", "B"), ("C", "D"), ("A", "C", "E")),
+        ["graph is not connected (3 components)"],
+    ),
+    "several-faults": (
+        _several_faults,
+        [
+            "arc A: duplicate id",
+            "arc B: n_cells must be >= 1",
+            "arc B: unknown kind 'ramp'",
+            "arc C: b=1.0 must exceed a=2.0",
+            "arc 'C,D': id holds a comma, quote or line break",
+            "junction J: dangling reference to arc MISSING",
+            "junction J: negative distribution entry",
+            "junction J: distribution column 0 mass 0.9 != 1",
+            "junction J: distribution column 1 mass 1.5 != 1",
+            "junction J: priority weights must sum to 1",
+            "junction K: an arc appears twice",
+            "junction K: exit_arc must name one of its outgoing arcs",
+            "junction J: duplicate id",
+            "junction J: needs at least one incoming and one outgoing arc",
+            "junction J: distribution shape (1, 1) does not match (1, 0)",
+            "arc C: produced by 2 junctions",
+            "arc C: boundary condition on a non-source arc",
+            "arc C: rho_bar 2.0 outside [0, 1.0]",
+            "arc C: tracer_in -0.5 outside [0, 1]",
+            "arc C: multiple boundary conditions",
+            "arc C: boundary condition on a non-source arc",
+            "boundary condition references missing arc Z",
+            "arc A: external_in but fed by a junction",
+            "arc A: external_out but consumed by a junction",
+            "arc B: no upstream junction and no boundary condition",
+            # no connectivity line: the two junctions named J count as
+            # one node, which joins C,D to the other arcs
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("build, expected", _VALIDATE_CASES.values(), ids=_VALIDATE_CASES.keys())
+def test_validate_reports_each_fault_in_order(build, expected):
+    assert build().validate() == expected
 
 
 def test_random_networks_validate_and_have_stochastic_columns():

@@ -179,11 +179,10 @@ class Network:
     def validate(self) -> list[str]:
         """Return the list of violated invariants; empty means valid."""
         errors: list[str] = []
-        seen: set[str] = set()
-        for arc in self.arcs:
-            if arc.id in seen:
+        position: dict[str, int] = {}  # arc id -> index of its first arc
+        for k, arc in enumerate(self.arcs):
+            if position.setdefault(arc.id, k) != k:
                 errors.append(f"arc {arc.id}: duplicate id")
-            seen.add(arc.id)
             if not _CSV_SPECIAL.isdisjoint(arc.id):
                 errors.append(f"arc {arc.id!r}: id holds a comma, quote or line break")
             if not math.isfinite(arc.b - arc.a):  # also NaN or infinite ends
@@ -200,7 +199,18 @@ class Network:
         if total_cells + len(self.arcs) > _MAX_INTERFACES:
             errors.append(f"network has {total_cells} cells, more than an array can index")
 
+        # connectivity: union-find over arc positions, ignoring direction;
+        # each junction id joins its arcs to the first arc it named
+        parent = list(range(len(self.arcs)))
+
+        def find(k: int) -> int:
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
+
         seen_j: set[str] = set()
+        anchor: dict[str, int] = {}
         used_as_in: dict[str, int] = {}
         used_as_out: dict[str, int] = {}
         for junc in self.junctions:
@@ -209,36 +219,38 @@ class Network:
             seen_j.add(junc.id)
             if not _CSV_SPECIAL.isdisjoint(junc.id):
                 errors.append(f"junction {junc.id!r}: id holds a comma, quote or line break")
-            refs = junc.incoming + junc.outgoing
-            for arc_id in refs:
-                if arc_id not in self._arc_by_id:
-                    errors.append(f"junction {junc.id}: dangling reference to arc {arc_id}")
-            if len(set(refs)) != len(refs):
-                errors.append(f"junction {junc.id}: an arc appears twice")
-            if not junc.incoming or not junc.outgoing:
-                errors.append(f"junction {junc.id}: needs at least one incoming and one outgoing arc")
-            for arc_id in junc.incoming:
-                used_as_in[arc_id] = used_as_in.get(arc_id, 0) + 1
-            for arc_id in junc.outgoing:
-                used_as_out[arc_id] = used_as_out.get(arc_id, 0) + 1
-
+            for arc_ids, used in ((junc.incoming, used_as_in), (junc.outgoing, used_as_out)):
+                for arc_id in arc_ids:
+                    used[arc_id] = used.get(arc_id, 0) + 1
+                    k = position.get(arc_id)
+                    if k is None:
+                        errors.append(f"junction {junc.id}: dangling reference to arc {arc_id}")
+                    else:
+                        parent[find(k)] = find(anchor.setdefault(junc.id, k))
             n_in, n_out = len(junc.incoming), len(junc.outgoing)
-            entries = junc.distribution.ravel().tolist()
+            if len(set(junc.incoming + junc.outgoing)) != n_in + n_out:
+                errors.append(f"junction {junc.id}: an arc appears twice")
+            if not n_in or not n_out:
+                errors.append(f"junction {junc.id}: needs at least one incoming and one outgoing arc")
+
             if junc.distribution.shape != (n_out, n_in):
                 errors.append(
                     f"junction {junc.id}: distribution shape {junc.distribution.shape} "
                     f"does not match ({n_out}, {n_in})"
                 )
-            elif not all(map(math.isfinite, entries)):
-                errors.append(f"junction {junc.id}: non-finite distribution entry")
             else:
-                if min(entries, default=0.0) < 0.0:
-                    errors.append(f"junction {junc.id}: negative distribution entry")
-                for i, total in enumerate(junc.distribution.sum(axis=0).tolist()):
-                    if abs(total - 1.0) > _COLUMN_TOL:
-                        errors.append(
-                            f"junction {junc.id}: distribution column {i} mass {total:g} != 1"
-                        )
+                entries = [x for row in junc.distribution.tolist() for x in row]
+                if not all(map(math.isfinite, entries)):
+                    errors.append(f"junction {junc.id}: non-finite distribution entry")
+                else:
+                    if min(entries, default=0.0) < 0.0:
+                        errors.append(f"junction {junc.id}: negative distribution entry")
+                    for i in range(n_in):
+                        total = sum(entries[i::n_in])  # column i, in row order
+                        if abs(total - 1.0) > _COLUMN_TOL:
+                            errors.append(
+                                f"junction {junc.id}: distribution column {i} mass {total:g} != 1"
+                            )
             weights = junc.priority.tolist()
             if junc.priority.shape != (n_in,):
                 errors.append(f"junction {junc.id}: priority length != incoming arcs")
@@ -247,7 +259,7 @@ class Network:
             elif n_in:
                 if min(weights) < -1e-12 or max(weights) > 1.0 + 1e-12:
                     errors.append(f"junction {junc.id}: priority weights outside [0, 1]")
-                if abs(junc.priority.sum() - 1.0) > _COLUMN_TOL:
+                if abs(sum(weights) - 1.0) > _COLUMN_TOL:
                     errors.append(f"junction {junc.id}: priority weights must sum to 1")
 
             if junc.coefficient_mode not in ("static", "dynamic"):
@@ -294,34 +306,10 @@ class Network:
             if arc.kind == "circle" and not (has_up and has_down):
                 errors.append(f"arc {arc.id}: circle arc must connect two junctions")
 
-        errors.extend(self._connectivity_errors())
+        components = len({find(k) for k in position.values()})
+        if components > 1:
+            errors.append(f"graph is not connected ({components} components)")
         return errors
-
-    def _connectivity_errors(self) -> list[str]:
-        if not self.arcs:
-            return []
-        # union arcs with their junction endpoints, ignoring direction
-        parent: dict[str, str] = {}
-
-        def find(x: str) -> str:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: str, y: str) -> None:
-            parent[find(x)] = find(y)
-
-        for arc in self.arcs:
-            find(f"a:{arc.id}")
-        for junc in self.junctions:
-            for arc_id in junc.incoming + junc.outgoing:
-                if arc_id in self._arc_by_id:
-                    union(f"a:{arc_id}", f"j:{junc.id}")
-        roots = {find(f"a:{arc.id}") for arc in self.arcs}
-        if len(roots) > 1:
-            return [f"graph is not connected ({len(roots)} components)"]
-        return []
 
 
 def _check_fraction(name: str, value: float) -> None:

@@ -6,7 +6,7 @@ from tagflow.cli import EXIT_INVALID_INPUT, EXIT_OK, EXIT_RUNTIME_FAILURE, main
 from tagflow.flux import FluxModel
 from tagflow.network import Arc, BoundaryCondition, Junction, Network, build_roundabout
 from tagflow.scenario import write_scenario
-from tagflow.simulate import MAX_STEPS, SimConfig, Simulator
+from tagflow.simulate import MAX_STEPS, SimConfig, SimulationError, Simulator
 
 
 @pytest.fixture
@@ -108,6 +108,43 @@ def test_roundabout_rejects_bad_alpha(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_roundabout_rejects_a_nan_t_end(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["roundabout", "--t-end", "nan", "--out", str(out)]) == EXIT_INVALID_INPUT
+    assert "t_end" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_scenario_rejects_bad_alpha(capsys):
+    assert main(["scenario", "--alpha", "2"]) == EXIT_INVALID_INPUT
+    assert "alpha" in _one_error_line(capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_simulation_error_is_runtime_failure(scenario_file, tmp_path, monkeypatch, capsys):
+    def blow_up(self, config):
+        raise SimulationError("density left [0, rho_max]")
+
+    monkeypatch.setattr(Simulator, "run", blow_up)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_RUNTIME_FAILURE
+    assert "simulation failed: density left [0, rho_max]" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_roundabout_reports_its_equilibrium_time(tmp_path, capsys):
+    code = main(["roundabout", "--cells", "10", "--t-end", "30", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert "equilibrium: t >= 12\n" in capsys.readouterr().out
+
+
 def test_roundabout_static_flag(tmp_path):
     out = tmp_path / "static"
     code = main(
@@ -127,12 +164,7 @@ def test_run_unwritable_destination_is_runtime_failure(scenario_file, tmp_path, 
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_four_incoming_arcs_run_without_the_lp(tmp_path, monkeypatch, capsys):
-    class Failed:
-        success = False
-        message = "stand-in failure"
-
-    monkeypatch.setattr("tagflow.junctions.linprog", lambda *args, **kwargs: Failed())
+def test_four_incoming_arcs_run_without_the_lp(tmp_path, capsys):
     ins = [f"I{k}" for k in range(4)]
     net = Network(
         model=FluxModel(),

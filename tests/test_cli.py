@@ -108,8 +108,8 @@ def test_roundabout_rejects_bad_alpha(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def _one_error_line(capsys):
-    err = capsys.readouterr().err
+def _one_error_line(err):
+    """err, once it is checked to be one line and no traceback."""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     return err
@@ -118,14 +118,15 @@ def _one_error_line(capsys):
 def test_roundabout_rejects_a_nan_t_end(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["roundabout", "--t-end", "nan", "--out", str(out)]) == EXIT_INVALID_INPUT
-    assert "t_end" in _one_error_line(capsys)
+    assert "t_end" in _one_error_line(capsys.readouterr().err)
     assert not out.exists()
 
 
 def test_scenario_rejects_bad_alpha(capsys):
     assert main(["scenario", "--alpha", "2"]) == EXIT_INVALID_INPUT
-    assert "alpha" in _one_error_line(capsys)
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert "alpha" in _one_error_line(err)
+    assert out == ""
 
 
 def test_simulation_error_is_runtime_failure(scenario_file, tmp_path, monkeypatch, capsys):
@@ -135,7 +136,7 @@ def test_simulation_error_is_runtime_failure(scenario_file, tmp_path, monkeypatc
     monkeypatch.setattr(Simulator, "run", blow_up)
     out = tmp_path / "out"
     assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_RUNTIME_FAILURE
-    assert "simulation failed: density left [0, rho_max]" in _one_error_line(capsys)
+    assert "simulation failed: density left [0, rho_max]" in _one_error_line(capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -199,10 +200,7 @@ def _refused_before_the_first_step(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(Simulator, "compute_fluxes", no_step)
     assert main(argv) == EXIT_INVALID_INPUT
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
-    assert f"more than {MAX_STEPS} steps" in err
+    assert f"more than {MAX_STEPS} steps" in _one_error_line(capsys.readouterr().err)
 
 
 def test_run_refuses_an_arc_too_short_to_finish(scenario_file, tmp_path, monkeypatch, capsys):
@@ -247,9 +245,7 @@ def test_simulation_out_of_memory_is_runtime_failure(scenario_file, tmp_path, mo
     monkeypatch.setattr("tagflow.cli.Simulator", Exhausted)
     code = main(["run", str(scenario_file), "--out", str(tmp_path / "out")])
     assert code == EXIT_RUNTIME_FAILURE
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
+    _one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -289,9 +290,8 @@ def _line(arcs="A:in B:out", bcs=("A",), **fields):
 
 def _arc_a(**attrs):
     """_line with the given attributes of arc A."""
-    arcs = _arcs("A:in B:out")
-    vars(arcs[0]).update(attrs)
-    return _line(arcs)
+    a, b = _arcs("A:in B:out")
+    return _line([replace(a, **attrs), b])
 
 
 def _split(**fields):
@@ -306,9 +306,9 @@ def _merge(**fields):
     return _net("A:in B:in C:out", [junction], ("A", "B"))
 
 
-def _pair(arcs, first, second, bcs=("A",)):
-    """Two one-to-one junctions J and K, each given as (incoming, outgoing)."""
-    junctions = [Junction(jid, [a], [b], [[1.0]]) for jid, (a, b) in (("J", first), ("K", second))]
+def _pair(arcs, first, second, bcs=("A",), names=("J", "K")):
+    """Two one-to-one junctions, each given as (incoming, outgoing)."""
+    junctions = [Junction(name, [a], [b], [[1.0]]) for name, (a, b) in zip(names, (first, second))]
     return _net(arcs, junctions, bcs)
 
 
@@ -342,7 +342,7 @@ _VALIDATE_CASES = {
         [f"network has {2**62 + 2} cells, more than an array can index"],
     ),
     "duplicate-junction": (
-        lambda: _net("A:in B:gen C:out", [Junction(jid, [a], [b], [[1.0]]) for jid, a, b in ("JAB", "JBC")]),
+        lambda: _pair("A:in B:gen C:out", ("A", "B"), ("B", "C"), names=("J", "J")),
         ["junction J: duplicate id"],
     ),
     "junction-id-csv": (

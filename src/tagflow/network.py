@@ -132,6 +132,10 @@ class Network:
     boundary_conditions: list[BoundaryCondition] = field(default_factory=list)
 
     def __post_init__(self):
+        self._index()
+
+    def _index(self):
+        """Rebuild the id lookups from the live arc, junction and bc lists."""
         self._arc_by_id = {}
         for arc in self.arcs:
             self._arc_by_id.setdefault(arc.id, arc)
@@ -177,7 +181,12 @@ class Network:
         return [a.id for a in self.arcs if a.id not in self._downstream]
 
     def validate(self) -> list[str]:
-        """Return the list of violated invariants; empty means valid."""
+        """Return the list of violated invariants; empty means valid.
+
+        The lookups are rebuilt first, so lists edited after construction
+        are judged, and answered by the lookups, as they stand now.
+        """
+        self._index()
         errors: list[str] = []
         position: dict[str, int] = {}  # arc id -> index of its first arc
         for k, arc in enumerate(self.arcs):

@@ -6,11 +6,12 @@ transport, and steady-state detection.
 
 Every step has two phases.  Phase 1 is read-only: one flux per cell
 interface is computed, using the interface rule inside arcs and the
-junction allocation at every arc end.  Phase 2 applies the conservative
-update to every cell, transports tracer mass with the donor-cell value
-of each flux, and refreshes the dynamic exit splits from the
-composition that actually arrived.  Nothing in phase 2 feeds back into
-phase 1 of the same step, so cell updates are order-free.
+junction allocation at every arc end.  Interface c is cell c's left
+face and total_cells + k the end of arc k.  Phase 2 applies the
+conservative update to every cell, transports tracer mass with the
+donor-cell value of each flux, and refreshes the dynamic exit splits
+from the composition that actually arrived.  Nothing in phase 2 feeds
+back into phase 1 of the same step, so cell updates are order-free.
 
 The state is arrays only: density and tracer per cell, one exit split
 per dynamic junction.  Every arc end is a row of one junction table,
@@ -133,7 +134,10 @@ class SimState:
 
 @dataclass
 class FluxSnapshot:
-    """Phase-1 output: one bulk (and tracer) flux per cell interface."""
+    """Phase-1 output: one bulk (and tracer) flux per cell interface.
+
+    Interface c is cell c's left face, total_cells + k the end of arc k.
+    """
 
     fluxes: np.ndarray
     tracer_fluxes: np.ndarray | None
@@ -232,8 +236,8 @@ class Simulator:
     only ever be advanced by one thread at a time.
 
     Work buffers: demand and supply over the cells and the table's
-    slots, interface differences, one cell array; only a network with a
-    tracer adds the clipped tracer, over the cells and slots too.
+    slots, and the cells' flux differences; only a network with a tracer
+    adds the clipped tracer, over the cells and slots too.
     """
 
     def __init__(self, net: Network):
@@ -253,19 +257,11 @@ class Simulator:
         self.dx = np.array([a.dx for a in arcs])
         self.dx_cell = np.repeat(self.dx, n_cells)
 
-        arc_of_cell = np.repeat(np.arange(len(arcs), dtype=np.intp), n_cells)
-        # interfaces of arc k occupy [cell_offsets[k] + k, ... + n_cells[k]]
-        self._left_iface = np.arange(self.total_cells, dtype=np.intp) + arc_of_cell
-        right_iface = self._left_iface + 1
+        # interface c is cell c's left face; total_cells + k ends arc k
         self.total_ifaces = self.total_cells + len(arcs)
-
-        self._int_left_cell = np.nonzero(arc_of_cell[:-1] == arc_of_cell[1:])[0]
-        self._int_iface = right_iface[self._int_left_cell]
-
-        self._arc_first_cell = self.cell_offsets[:-1]
+        self.arc_first_iface = self._arc_first_cell = self.cell_offsets[:-1]
         self._arc_last_cell = self.cell_offsets[1:] - 1
-        self.arc_first_iface = self._left_iface[self._arc_first_cell]
-        self.arc_last_iface = right_iface[self._arc_last_cell]
+        self.arc_last_iface = self.total_cells + np.arange(len(arcs), dtype=np.intp)
 
         reservoirs = self._build_junction_table()
         self.tracer_enabled = bool(self._dyn_junctions)
@@ -279,8 +275,6 @@ class Simulator:
         self._S = np.concatenate([head, np.zeros(len(reservoirs)), [np.inf]])
         tracer = [bc.tracer_in for bc in reservoirs]
         self._phi = np.concatenate([head, tracer, [0.0]]) if self.tracer_enabled else None
-        self._adj = np.empty(max(self.total_cells - 1, 0))
-        self._iface_diff = np.empty(max(self.total_ifaces - 1, 0))
         self._work = np.empty(self.total_cells)
         self._lam_cache: tuple[float | None, np.ndarray | None] = (None, None)
 
@@ -386,8 +380,11 @@ class Simulator:
         return [self.net.bc_for(self.arc_ids[k]) for k in sources]
 
     def _check_interface_cover(self):
+        # the interior write F[1:n] then the table's first faces and ends
         cover = np.zeros(self.total_ifaces + 1, dtype=int)
-        for arr in (self._int_iface, self._in_iface, self._out_iface):
+        cover[1 : self.total_cells] = 1
+        cover[self.arc_first_iface] = 0
+        for arr in (self._in_iface, self._out_iface):
             np.add.at(cover, arr, 1)
         if not np.all(cover[:-1] == 1):
             raise AssertionError("internal layout error: interface not covered exactly once")
@@ -435,12 +432,10 @@ class Simulator:
         demand, supply = self.model.demand_and_supply(
             state.rho, out_demand=self._D[:n], out_supply=self._S[:n], check=False
         )
-        # the last slot is the scratch interface
+        # the last slot is the scratch interface; every left face gets the
+        # interior rule, and the table overwrites each arc's first face
         F = np.empty(self.total_ifaces + 1)
-
-        if n > 1:
-            adjacent = np.minimum(demand[:-1], supply[1:], out=self._adj)
-            F[self._int_iface] = adjacent[self._int_left_cell]
+        np.minimum(demand[:-1], supply[1:], out=F[1:n])
 
         # one kernel call per kind, then one routing formula for every row
         routing = self._routing
@@ -470,11 +465,12 @@ class Simulator:
         times the tracer of each incoming cell or slot.  Rows mix in
         proportion to routed flux; dynamic exits then sort by destination.
         """
+        n = self.total_cells
         phi = self._phi
-        cells = phi[: self.total_cells]
+        cells = phi[:n]
         np.minimum(np.maximum(state.phi, 0.0, out=cells), 1.0, out=cells)
         Fphi = np.empty(self.total_ifaces + 1)
-        Fphi[self._int_iface] = F[self._int_iface] * phi[self._int_left_cell]
+        np.multiply(F[1:n], cells[:-1], out=Fphi[1:n])
 
         per_in = self._gamma * phi[self._in_cell]
         Fphi[self._in_iface] = per_in
@@ -505,18 +501,19 @@ class Simulator:
     def apply(self, state: SimState, snap: FluxSnapshot, dt: float, inplace: bool = False) -> SimState:
         """Advance state by dt using precomputed fluxes.
 
-        Works in the interface-difference and cell buffers every network
-        has; the tracer update allocates its own.  NaN fails both range
-        checks; a failed tracer check leaves state half updated.
+        Cell c lies between faces c and c + 1, except an arc's last cell,
+        whose right face is its arc's end: the flux divergence is one
+        contiguous difference, then one per arc.  Works in the cell buffer
+        every network has; the tracer update allocates its own.  NaN fails
+        both range checks; a failed tracer check leaves state half updated.
         """
         out = state if inplace else state.copy()
         lam = self._lambda(dt)
-        diff = self._iface_diff
+        n, last = self.total_cells, self._arc_last_cell
 
-        # consecutive interfaces bracket each cell, so the per-cell flux
-        # divergence is a contiguous diff followed by one gather
-        np.subtract(snap.fluxes[1:], snap.fluxes[:-1], out=diff)
-        rho_new = diff.take(self._left_iface, out=self._work)
+        F = snap.fluxes
+        rho_new = np.subtract(F[1 : n + 1], F[:n], out=self._work)
+        rho_new[last] = F[n:] - F[last]
         np.multiply(rho_new, lam, out=rho_new)
         np.subtract(out.rho, rho_new, out=rho_new)
 
@@ -528,8 +525,9 @@ class Simulator:
             )
 
         if out.phi is not None:
-            np.subtract(snap.tracer_fluxes[1:], snap.tracer_fluxes[:-1], out=diff)
-            mu = diff.take(self._left_iface)
+            Fphi = snap.tracer_fluxes
+            mu = Fphi[1 : n + 1] - Fphi[:n]
+            mu[last] = Fphi[n:] - Fphi[last]
             np.multiply(mu, lam, out=mu)
             np.subtract(out.rho * out.phi, mu, out=mu)
         np.minimum(np.maximum(rho_new, 0.0, out=out.rho), self.model.rho_max, out=out.rho)

@@ -217,7 +217,11 @@ def test_validate_survives_a_junction_without_incoming_arcs():
     net.junction("J2").incoming = []
     net.junction("J2").distribution = np.zeros((2, 0))
     net.junction("J2").priority = np.zeros(0)
-    assert any("needs at least one incoming" in msg for msg in net.validate())
+    report = net.validate()
+    assert any("needs at least one incoming" in msg for msg in report)
+    # the arc ends are judged, and answered, from the edited lists
+    assert "arc S1C: circle arc must connect two junctions" in report
+    assert net.downstream_junction("S1C") is None
 
 
 def test_validate_reports_dangling_reference():

@@ -345,6 +345,44 @@ def test_per_step_conservation_random_networks():
                 assert value <= 1e-14
 
 
+# layouts whose interface numbering is easy to get wrong: random arc
+# lengths, a tracer, arcs of one cell, and one cell that is both ends
+NUMBERING_NETWORKS = {
+    **{f"random-{seed}": lambda seed=seed: random_network(np.random.default_rng(seed)) for seed in range(4)},
+    "roundabout": lambda: build_roundabout(0.4, 0.6, 0.1, 0.1, cells_per_arc=10),
+    "one-cell-arcs": lambda: build_diamond_chain(40, 1),
+    "one-cell": lambda: single_arc_network(UNIT, 1, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERING_NETWORKS))
+def test_interface_c_is_the_left_face_of_cell_c(name):
+    sim = Simulator(NUMBERING_NETWORKS[name]())
+    state = sim.init_state()
+    rng = np.random.default_rng(11)
+    state.rho[:] = rng.uniform(0.0, UNIT.rho_max, sim.total_cells)
+    if state.phi is not None:
+        state.phi[:] = rng.uniform(0.0, 1.0, sim.total_cells)
+    snap = sim.compute_fluxes(state)
+    F = snap.fluxes
+    assert F.shape == (sim.total_ifaces,)
+
+    inner = np.ones(sim.total_cells, dtype=bool)
+    inner[sim.arc_first_iface] = False
+    c = np.flatnonzero(inner)
+    assert np.array_equal(F[c], np.minimum(UNIT.demand(state.rho[c - 1]), UNIT.supply(state.rho[c])))
+
+    # an independent update from each arc's faces, left to right
+    dt = sim.stable_dt(0.5)
+    rho = []
+    for k in range(len(sim.arc_ids)):
+        lo, hi = sim.cell_offsets[k], sim.cell_offsets[k + 1]
+        faces = np.concatenate([[F[sim.arc_first_iface[k]]], F[lo + 1 : hi], [F[sim.arc_last_iface[k]]]])
+        rho.append(state.rho[lo:hi] - (dt / sim.dx[k]) * (faces[1:] - faces[:-1]))
+    expected = np.minimum(np.maximum(np.concatenate(rho), 0.0), UNIT.rho_max)
+    assert np.array_equal(sim.apply(state, snap, dt).rho, expected)
+
+
 def test_maximum_principle_on_congested_feed():
     # inflow at sigma, mid-arc jam: densities must stay within [0, rho_max]
     net = single_arc_network(UNIT, 60, 0.5)

@@ -30,8 +30,15 @@ ROUNDABOUT_CSV_SHA256 = {
     "coefficients": "f535914e5a6da99202dc8e1ed89c058011688c0d74772aee6b66de2be3ba0c23",
     "densities": "7d63e9eb16688aba4a451e6450d96b3c4cfaa6731dd6b03eb9abfeccfda3cd46",
 }
-# rho.tobytes() (and phi.tobytes() where there is a tracer) after 200
-# steps (or STEPS[name]) from seeded densities
+# the same run with every split frozen at its initial value, the
+# coefficient mode of `tagflow roundabout --static`
+ROUNDABOUT_STATIC_CSV_SHA256 = {
+    "fluxes": "aca06c3766a9fd97ea1afae0b83023cf00072486adc5f6f9d32b95847dcd7d9d",
+    "coefficients": "4897177246eeeb4adcc1b8c0b6873849116fab8900c46edc5081653341fe4219",
+    "densities": "f96f95cdb139678e3c4353636a67e5ffc4d5971c85ae50a20fbf93c29af25b0f",
+}
+# rho.tobytes() (and phi.tobytes() and exit_splits.tobytes() where there
+# is a tracer) after 200 steps (or STEPS[name]) from seeded densities
 STATE_SHA256 = {
     "diamond-chain": {"rho": "e59d20f0278e3e77d2fcae7a5f3d3f052c517936f110d2a7c8e8f928874bc105"},
     "one-cell-arcs": {"rho": "50412d031258c92677ba6f74f971fe2fd2312ec03bfd529962f00024804d3584"},
@@ -39,6 +46,7 @@ STATE_SHA256 = {
     "mixed": {
         "rho": "db7fb27caa5c13be9f31c8b66aa5bc5d50aabce5c28759738eda0c89fe3d370b",
         "phi": "04b4db5f854297ff9c562732527119506769c9a14254f0b58120f7fa745eba9b",
+        "exit_splits": "9228428ba831594cc07d6a871aea67d0973efd7acae90a9c87db4a4a6ffd5300",
     },
     "ring": {"rho": "2110e26cc6145e5dc43802ee22af002378d306e260596c9eef4b5235b002c332"},
     "hub": {"rho": "9dc2347f969384c9c2b83e676132f848580c54a68631e073c6138096986ae8de"},
@@ -64,9 +72,10 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def roundabout_csv_hashes(out_dir: Path) -> dict[str, str]:
+def roundabout_csv_hashes(out_dir: Path, coefficient_mode: str = "network") -> dict[str, str]:
     net, config = parse_scenario(ROUNDABOUT.read_text())
-    result = Simulator(net).run(dataclasses.replace(config, t_end=20.0))
+    config = dataclasses.replace(config, t_end=20.0, coefficient_mode=coefficient_mode)
+    result = Simulator(net).run(config)
     paths = write_timeseries(result, out_dir)
     return {name: _sha256(paths[name].read_bytes()) for name in ROUNDABOUT_CSV_SHA256}
 
@@ -81,12 +90,16 @@ def stepped_state_hashes(name: str, steps: int = 200, seed: int = 7) -> dict[str
     dt = sim.stable_dt(0.5)
     for _ in range(steps):
         state = sim.step(state, dt)
-    arrays = {"rho": state.rho, "phi": state.phi}
+    arrays = {"rho": state.rho, "phi": state.phi, "exit_splits": state.exit_splits}
     return {key: _sha256(arrays[key].tobytes()) for key in STATE_SHA256[name]}
 
 
 def test_roundabout_csvs_are_bit_identical(tmp_path):
     assert roundabout_csv_hashes(tmp_path) == ROUNDABOUT_CSV_SHA256
+
+
+def test_static_roundabout_csvs_are_bit_identical(tmp_path):
+    assert roundabout_csv_hashes(tmp_path, "static") == ROUNDABOUT_STATIC_CSV_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(STATE_SHA256))

@@ -4,14 +4,16 @@ First-order finite-volume updates per arc, demand/supply coupling at
 junctions, reservoir inflows, absorbing outflows, destination-tracer
 transport, and steady-state detection.
 
-Every step has two phases.  Phase 1 is read-only: one flux per cell
-interface is computed, using the interface rule inside arcs and the
-junction allocation at every arc end.  Interface c is cell c's left
-face and total_cells + k the end of arc k.  Phase 2 applies the
-conservative update to every cell, transports tracer mass with the
-donor-cell value of each flux, and refreshes the dynamic exit splits
-from the composition that actually arrived.  Nothing in phase 2 feeds
-back into phase 1 of the same step, so cell updates are order-free.
+Every step has two phases.  Phase 1, Simulator.compute_fluxes, is
+read-only: one flux per cell interface is computed, using the interface
+rule inside arcs and the junction allocation at every arc end, and each
+dynamic exit's next split is read off the composition that crosses it.
+Interface c is cell c's left face and total_cells + k the end of arc k.
+Phase 2, Simulator.apply, applies the conservative update to every
+cell, transports tracer mass with the donor-cell value of each flux,
+and installs the new exit splits.  Nothing in phase 2 feeds back into
+phase 1 of the same step, so cell updates are order-free.
+Simulator.step is the two phases in turn.
 
 The state is arrays only: density and tracer per cell, one exit split
 per dynamic junction.  Every arc end is a row of one junction table,
@@ -113,7 +115,8 @@ class SimState:
     rho and phi are flat arrays over all cells in arc order (phi is None
     on networks without dynamic junctions).  exit_splits is (n_dynamic,
     2): one row per dynamic junction in network order, its columns in
-    that junction's outgoing order.  Static splits live on the network.
+    that junction's outgoing order; apply installs the splits phase 1
+    computed.  Static splits live on the network.
     """
 
     time: float
@@ -137,10 +140,14 @@ class FluxSnapshot:
     """Phase-1 output: one bulk (and tracer) flux per cell interface.
 
     Interface c is cell c's left face, total_cells + k the end of arc k.
+    Where there is a tracer, exit_splits holds the dynamic exit splits
+    after this step: each row follows what crossed its exit, or keeps
+    the state's split when less than EPS_FLUX arrived.
     """
 
     fluxes: np.ndarray
     tracer_fluxes: np.ndarray | None
+    exit_splits: np.ndarray | None
     inflow_total: float
     outflow_total: float
 
@@ -320,14 +327,10 @@ class Simulator:
         n_out = np.array([len(outgoing[r]) for r in rows], dtype=np.intp)
         in_slot = np.arange(n_in.max(initial=1)) < n_in[:, None]
         out_slot = np.arange(n_out.max(initial=1)) < n_out[:, None]
-        # rank[r, c] is the incoming position that column c of row r
-        # holds; a padding column keeps its own position, which is empty
-        rank = np.tile(np.arange(in_slot.shape[1]), (len(rows), 1))
-        rank[in_slot] = [i for r in rows for i in orders[r]]
 
         in_arcs = np.full(in_slot.shape, n_arcs, dtype=np.intp)
-        in_arcs[in_slot] = [a for r in rows for a in incoming[r]]
-        in_arcs = np.take_along_axis(in_arcs, rank, axis=1)
+        # each row's incoming arcs, and its routing columns below, in priority order
+        in_arcs[in_slot] = [incoming[r][i] for r in rows for i in orders[r]]
         out_arcs = np.full(out_slot.shape, n_arcs, dtype=np.intp)
         out_arcs[out_slot] = [a for r in rows for a in outgoing[r]]
         slots = self.total_cells + np.arange(len(sources) + 2)
@@ -338,12 +341,12 @@ class Simulator:
         self._out_iface = np.concatenate([self.arc_first_iface, scratch])[out_arcs]
 
         # every valid network has a row: an arc is fed by a junction or a reservoir
-        routing = np.zeros(out_slot.shape + in_slot.shape[1:])
+        routing = self._routing = np.zeros(out_slot.shape + in_slot.shape[1:])
         real = out_slot[:, :, None] & in_slot[:, None, :]
-        routing[real] = np.concatenate([distributions[r] for r in rows], axis=None)
+        # plain floats: a permuted array per junction would raise peak memory
+        routing[real] = [row[i] for r in rows for row in distributions[r].tolist() for i in orders[r]]
         merges = kind[rows] == kinds.index("merge")
         routing[merges, 0] = in_slot[merges]
-        self._routing = np.take_along_axis(routing, rank[:, None, :], axis=2)
         self._gamma = np.zeros(in_slot.shape)
 
         # one kernel call per kind present, at that kind's own width
@@ -448,10 +451,20 @@ class Simulator:
         F[self._in_iface] = gamma
         F[self._out_iface] = np.einsum("bji,bi->bj", routing, gamma)
 
-        Fphi = self._tracer_fluxes(state, F)[:-1] if state.phi is not None else None
+        Fphi = splits = None
+        if state.phi is not None:
+            Fphi = self._tracer_fluxes(state, F)[:-1]
+            # the next splits follow the clipped donor tracer that crossed
+            # each dynamic exit, by the rule of dynamic_exit_coefficients
+            donor = self._phi[self._dyn_in_cell]
+            to_exit = np.where(self._dyn_takes_marked, donor, 1.0 - donor)[:, None]
+            fresh = np.where(self._dyn_exit_mask, to_exit, 1.0 - to_exit)
+            arrived = F[self._dyn_in_iface] >= EPS_FLUX
+            splits = np.where(arrived[:, None], fresh, state.exit_splits)
         return FluxSnapshot(
             fluxes=F[:-1],
             tracer_fluxes=Fphi,
+            exit_splits=splits,
             inflow_total=float(np.add.reduce(F[self._inflow_iface])),
             outflow_total=float(np.add.reduce(F[self._outflow_iface])),
         )
@@ -499,13 +512,14 @@ class Simulator:
         return arr
 
     def apply(self, state: SimState, snap: FluxSnapshot, dt: float, inplace: bool = False) -> SimState:
-        """Advance state by dt using precomputed fluxes.
+        """Phase 2: advance state by dt using a snapshot of its fluxes.
 
         Cell c lies between faces c and c + 1, except an arc's last cell,
         whose right face is its arc's end: the flux divergence is one
-        contiguous difference, then one per arc.  Works in the cell buffer
-        every network has; the tracer update allocates its own.  NaN fails
-        both range checks; a failed tracer check leaves state half updated.
+        contiguous difference, then one per arc.  The snapshot's exit
+        splits replace the state's.  Works in the cell buffer every
+        network has; the tracer update allocates its own.  NaN fails both
+        range checks; a failed tracer check leaves state half updated.
         """
         out = state if inplace else state.copy()
         lam = self._lambda(dt)
@@ -543,30 +557,15 @@ class Simulator:
                     f"tracer left [0, 1] at t={state.time:.6g} (range [{lo:.3e}, {hi:.3e}])"
                 )
             np.minimum(np.maximum(out.phi, 0.0, out=out.phi), 1.0, out=out.phi)
+        if snap.exit_splits is not None:
+            out.exit_splits[:] = snap.exit_splits
 
         out.time = state.time + dt
         out.step_count = state.step_count + 1
         return out
 
-    def _advance(self, state: SimState, snap: FluxSnapshot, dt: float, update_coefficients: bool):
-        """Phase 2 in place: apply snap, then refresh the dynamic exit splits.
-
-        The splits follow the tracer the donor cells held before the
-        update, which is what crossed the exit interfaces this step, by
-        the rule of dynamic_exit_coefficients applied to every row at once.
-        """
-        if not (update_coefficients and state.phi is not None):
-            self.apply(state, snap, dt, inplace=True)
-            return
-        donor = np.minimum(np.maximum(state.phi[self._dyn_in_cell], 0.0), 1.0)
-        self.apply(state, snap, dt, inplace=True)
-        to_exit = np.where(self._dyn_takes_marked, donor, 1.0 - donor)[:, None]
-        fresh = np.where(self._dyn_exit_mask, to_exit, 1.0 - to_exit)
-        arrived = snap.fluxes[self._dyn_in_iface] >= EPS_FLUX
-        np.copyto(state.exit_splits, fresh, where=arrived[:, None])
-
     def step(self, state: SimState, dt: float) -> SimState:
-        """One two-phase step; returns a new state.
+        """One two-phase step, compute_fluxes then apply; returns a new state.
 
         dt must respect the CFL bound stable_dt(1.0).
         """
@@ -576,10 +575,7 @@ class Simulator:
             raise SimulationError(
                 f"dt={dt:.6g} violates the CFL bound {self.stable_dt(1.0):.6g}"
             )
-        snap = self.compute_fluxes(state)
-        new = state.copy()
-        self._advance(new, snap, dt, True)
-        return new
+        return self.apply(state, self.compute_fluxes(state), dt)
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -615,6 +611,7 @@ class Simulator:
         last_dt = dt if last_dt >= dt - eps else last_dt
         update = config.coefficient_mode != "static"
         state = self.init_state()
+        initial_splits = state.exit_splits.copy()
 
         times: list[float] = []
         flux_rows: list[np.ndarray] = []
@@ -648,7 +645,9 @@ class Simulator:
                 next_sample = math.floor((state.time + eps) / config.sample_interval) + 1
             last = k == n_steps - 1
             step_dt = last_dt if last else dt
-            self._advance(state, snap, step_dt, update)
+            self.apply(state, snap, step_dt, inplace=True)
+            if not update:
+                state.exit_splits[:] = initial_splits
             state.time = config.t_end if last else (k + 1) * dt
             if waiting:
                 new = ~arrived & (snap.fluxes[self._dyn_in_iface] >= EPS_FLUX)

@@ -180,13 +180,6 @@ def test_check_low_flow():
     assert check_low_flow(UNIT, 0.25, 0.0)
 
 
-def test_validate_reports_bad_column_mass():
-    net = build_roundabout(0.5, 0.5, 0.1, 0.1)
-    net.junction("J2").distribution = np.array([[0.5], [0.4]])
-    report = net.validate()
-    assert any("column 0 mass 0.9" in msg for msg in report)
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_validate_reports_non_finite_numbers(bad):
     net = build_roundabout(0.5, 0.5, 0.1, 0.1)
@@ -222,53 +215,6 @@ def test_validate_survives_a_junction_without_incoming_arcs():
     # the arc ends are judged, and answered, from the edited lists
     assert "arc S1C: circle arc must connect two junctions" in report
     assert net.downstream_junction("S1C") is None
-
-
-def test_validate_reports_dangling_reference():
-    net = Network(
-        model=UNIT,
-        arcs=[Arc("A", 0.0, 1.0, 5, "external_in")],
-        junctions=[Junction("J", ["A"], ["MISSING"], [[1.0]])],
-        boundary_conditions=[BoundaryCondition("A", 0.1)],
-    )
-    assert any("dangling reference" in msg for msg in net.validate())
-
-
-def test_validate_reports_disconnected_graph():
-    net = Network(
-        model=UNIT,
-        arcs=[
-            Arc("A", 0.0, 1.0, 5, "generic"),
-            Arc("B", 0.0, 1.0, 5, "generic"),
-        ],
-        junctions=[],
-        boundary_conditions=[BoundaryCondition("A", 0.1), BoundaryCondition("B", 0.1)],
-    )
-    assert any("not connected" in msg for msg in net.validate())
-
-
-def test_validate_requires_inflow_specification():
-    net = Network(
-        model=UNIT,
-        arcs=[Arc("A", 0.0, 1.0, 5, "generic")],
-        junctions=[],
-        boundary_conditions=[],
-    )
-    assert any("no upstream junction and no boundary condition" in msg for msg in net.validate())
-
-
-def test_validate_rejects_double_use_of_an_arc():
-    arcs = [
-        Arc("A", 0.0, 1.0, 5, "external_in"),
-        Arc("B", 0.0, 1.0, 5, "external_out"),
-        Arc("C", 0.0, 1.0, 5, "external_out"),
-    ]
-    junctions = [
-        Junction("J1", ["A"], ["B"], [[1.0]]),
-        Junction("J2", ["A"], ["C"], [[1.0]]),
-    ]
-    net = Network(UNIT, arcs, junctions, [BoundaryCondition("A", 0.1)])
-    assert any("consumed by 2 junctions" in msg for msg in net.validate())
 
 
 _KINDS = {"in": "external_in", "out": "external_out", "gen": "generic"}
@@ -316,6 +262,13 @@ def _pair(arcs, first, second, bcs=("A",), names=("J", "K")):
     return _net(arcs, junctions, bcs)
 
 
+def _roundabout_j2(distribution):
+    """The roundabout with junction J2's distribution replaced after construction."""
+    net = build_roundabout(0.5, 0.5, 0.1, 0.1)
+    net.junction("J2").distribution = np.array(distribution)
+    return net
+
+
 def _several_faults():
     arcs = _arcs("A:in A:out B:ramp C:gen C,D:gen")
     arcs[2].n_cells = 0
@@ -357,6 +310,10 @@ _VALIDATE_CASES = {
         lambda: _net("A:in B:out", [Junction("J", ["A"], ["B", "Z"], [[0.5], [0.5]])]),
         ["junction J: dangling reference to arc Z"],
     ),
+    "dangling-only-outgoing": (
+        lambda: _net("A:in", [Junction("J", ["A"], ["MISSING"], [[1.0]])]),
+        ["junction J: dangling reference to arc MISSING"],
+    ),
     "arc-twice": (
         lambda: _net("A:in B:out", [Junction("J", ["A", "A"], ["B"], [[1.0, 1.0]])]),
         ["junction J: an arc appears twice", "arc A: consumed by 2 junctions"],
@@ -383,6 +340,10 @@ _VALIDATE_CASES = {
     "column-mass": (
         lambda: _merge(distribution=[[1.0, 0.25]]),
         ["junction J: distribution column 1 mass 0.25 != 1"],
+    ),
+    "roundabout-column-mass": (
+        lambda: _roundabout_j2([[0.5], [0.4]]),
+        ["junction J2: distribution column 0 mass 0.9 != 1"],
     ),
     "priority-length": (lambda: _merge(priority=[1.0]), ["junction J: priority length != incoming arcs"]),
     "non-finite-priority": (
@@ -433,12 +394,20 @@ _VALIDATE_CASES = {
         ["arc A: tracer_in 2.0 outside [0, 1]"],
     ),
     "no-inflow": (lambda: _line(bcs=()), ["arc A: no upstream junction and no boundary condition"]),
+    "lone-arc-no-inflow": (
+        lambda: _net("A:gen", [], ()),
+        ["arc A: no upstream junction and no boundary condition"],
+    ),
     "external-in-fed": (lambda: _line("A:in B:in"), ["arc B: external_in but fed by a junction"]),
     "external-out-consumed": (
         lambda: _line("A:out B:out"),
         ["arc A: external_out but consumed by a junction"],
     ),
     "circle-end": (lambda: _line("A:in B:circle"), ["arc B: circle arc must connect two junctions"]),
+    "two-components": (
+        lambda: _net("A:gen B:gen", [], ("A", "B")),
+        ["graph is not connected (2 components)"],
+    ),
     "three-components": (
         lambda: _pair("A:in B:out C:in D:out E:gen", ("A", "B"), ("C", "D"), ("A", "C", "E")),
         ["graph is not connected (3 components)"],

@@ -486,6 +486,42 @@ def test_exit_splits_follow_the_scalar_rule_bitwise():
         assert not np.array_equal(state.exit_splits, sim.init_state().exit_splits)
 
 
+@pytest.mark.parametrize("inplace", [False, True], ids=["copy", "inplace"])
+@pytest.mark.parametrize("name", ["roundabout", "mixed"])
+def test_compute_fluxes_then_apply_is_one_step(name, inplace):
+    """Phase 1 then phase 2 by hand is step, bit for bit, splits included."""
+    roundabout = name == "roundabout"
+    if roundabout:
+        sim = Simulator(build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=10))
+    else:
+        sim = Simulator(mixed_kind_network())
+    stepped = sim.init_state()
+    if not roundabout:  # run starts empty, so only the mixed network is seeded
+        rng = np.random.default_rng(7)
+        stepped.rho[:] = rng.uniform(0.0, 1.0, sim.total_cells)
+        stepped.phi[:] = rng.uniform(0.0, 1.0, sim.total_cells)
+    hand = stepped.copy()
+    dt = sim.stable_dt(0.5)
+    steps = 600
+    for _ in range(steps):
+        stepped = sim.step(stepped, dt)
+        snap = sim.compute_fluxes(hand)
+        applied = sim.apply(hand, snap, dt, inplace=inplace)
+        assert (applied is hand) == inplace
+        hand = applied
+        for key in ("rho", "phi", "exit_splits"):
+            assert getattr(hand, key).tobytes() == getattr(stepped, key).tobytes()
+    # the splits moved away from their initial value
+    assert not np.array_equal(hand.exit_splits, sim.init_state().exit_splits)
+    if roundabout:
+        res = sim.run(SimConfig(t_end=steps * dt))
+        assert res.summary["steps"] == steps
+        dynamic = [j.id for j in sim.net.junctions if j.coefficient_mode == "dynamic"]
+        assert dynamic == ["J2", "J4"]
+        for row, jid in enumerate(dynamic):
+            assert res.coefficients[jid][-1, :, 0].tobytes() == hand.exit_splits[row].tobytes()
+
+
 def test_exit_listed_second_reaches_the_closed_form():
     alpha, beta, rho1, rho2 = 0.4, 0.6, 0.1, 0.12
     res = Simulator(exit_listed_second_roundabout(20)).run(SimConfig(t_end=80.0))

@@ -205,6 +205,20 @@ def test_validate_reports_too_many_cells(counts):
     assert f"network has {total} cells, more than an array can index" in net.validate()
 
 
+def test_validate_rejects_double_use_of_an_arc():
+    arcs = [
+        Arc("A", 0.0, 1.0, 5, "external_in"),
+        Arc("B", 0.0, 1.0, 5, "external_out"),
+        Arc("C", 0.0, 1.0, 5, "external_out"),
+    ]
+    junctions = [
+        Junction("J1", ["A"], ["B"], [[1.0]]),
+        Junction("J2", ["A"], ["C"], [[1.0]]),
+    ]
+    net = Network(UNIT, arcs, junctions, [BoundaryCondition("A", 0.1)])
+    assert net.validate() == ["arc A: consumed by 2 junctions"]
+
+
 def test_validate_survives_a_junction_without_incoming_arcs():
     net = build_roundabout(0.5, 0.5, 0.1, 0.1)
     net.junction("J2").incoming = []

@@ -55,15 +55,22 @@ class FluxModel:
         """Bound on |d flux / d rho| over [0, rho_max]; sets the CFL limit."""
         return self.v_max
 
+    def _speed(self, r):
+        """Velocity v_max - (v_max / rho_max) * r at clamped densities r.
+
+        The operations are those demand_and_supply performs in place, so
+        the two agree bit for bit on every model.
+        """
+        return r * -(self.v_max / self.rho_max) + self.v_max
+
     def velocity(self, rho):
         """Appearance velocity v_max * (1 - rho / rho_max)."""
-        r = self.clamp_density(rho)
-        return _like(rho, self.v_max * (1.0 - r / self.rho_max))
+        return _like(rho, self._speed(self.clamp_density(rho)))
 
     def flux(self, rho):
         """Flow rho * velocity(rho)."""
         r = self.clamp_density(rho)
-        return _like(rho, r * (self.v_max * (1.0 - r / self.rho_max)))
+        return _like(rho, r * self._speed(r))
 
     def demand(self, rho):
         """Largest flow a cell at this density can send downstream.
@@ -72,7 +79,7 @@ class FluxModel:
         capacity above it; non-decreasing in rho.
         """
         r = np.minimum(self.clamp_density(rho), self.sigma)
-        return _like(rho, r * (self.v_max * (1.0 - r / self.rho_max)))
+        return _like(rho, r * self._speed(r))
 
     def supply(self, rho):
         """Largest flow a cell at this density can accept from upstream.
@@ -81,7 +88,7 @@ class FluxModel:
         non-increasing in rho.
         """
         r = np.maximum(self.clamp_density(rho), self.sigma)
-        return _like(rho, r * (self.v_max * (1.0 - r / self.rho_max)))
+        return _like(rho, r * self._speed(r))
 
     def demand_and_supply(self, rho, out_demand=None, out_supply=None, check=True):
         """Demand and supply of an array in one shot, into buffers.
@@ -142,16 +149,16 @@ class FluxModel:
             out = np.where(x <= head, left, np.where(x >= tail, right, fan))
         return _like(xi, out)
 
-    def clamp_density(self, rho, tol: float = DENSITY_TOL):
+    def clamp_density(self, rho):
         """Clip round-off excursions back into [0, rho_max].
 
-        Every method's domain check.  Violations beyond tol, and NaN,
-        indicate a bug upstream and raise.
+        Every method's domain check.  Violations beyond DENSITY_TOL, and
+        NaN, indicate a bug upstream and raise.
         """
         arr = np.asarray(rho, dtype=float)
-        if arr.size and not (np.min(arr) >= -tol and np.max(arr) <= self.rho_max + tol):
+        if arr.size and not (np.min(arr) >= -DENSITY_TOL and np.max(arr) <= self.rho_max + DENSITY_TOL):
             raise ValueError(
-                f"density violates [0, {self.rho_max}] beyond tolerance {tol}: "
+                f"density violates [0, {self.rho_max}] beyond tolerance {DENSITY_TOL}: "
                 f"range [{np.min(arr)}, {np.max(arr)}]"
             )
         return _like(rho, np.clip(arr, 0.0, self.rho_max))

@@ -124,69 +124,44 @@ class BoundaryCondition:
 
 @dataclass
 class Network:
-    """Immutable-after-validation topology plus the flux model."""
+    """Topology plus the flux model.
+
+    Holds its four fields and nothing derived from them: every lookup
+    reads the lists as they stand, so an edit is answered at once.  A
+    duplicate id resolves to its first occurrence.
+    """
 
     model: FluxModel
     arcs: list[Arc]
     junctions: list[Junction]
     boundary_conditions: list[BoundaryCondition] = field(default_factory=list)
 
-    def __post_init__(self):
-        self._index()
-
-    def _index(self):
-        """Rebuild the id lookups from the live arc, junction and bc lists."""
-        self._arc_by_id = {}
-        for arc in self.arcs:
-            self._arc_by_id.setdefault(arc.id, arc)
-        self._junction_by_id = {}
-        for junc in self.junctions:
-            self._junction_by_id.setdefault(junc.id, junc)
-        self._bc_by_arc = {}
-        for bc in self.boundary_conditions:
-            self._bc_by_arc.setdefault(bc.arc_id, bc)
-        # arc -> junction consuming it / producing it (first occurrence wins;
-        # duplicates are reported by validate)
-        self._downstream = {}
-        self._upstream = {}
-        for junc in self.junctions:
-            for arc_id in junc.incoming:
-                self._downstream.setdefault(arc_id, junc.id)
-            for arc_id in junc.outgoing:
-                self._upstream.setdefault(arc_id, junc.id)
-
     def arc(self, arc_id: str) -> Arc:
-        return self._arc_by_id[arc_id]
+        return _first(self.arcs, arc_id)
 
     def junction(self, junction_id: str) -> Junction:
-        return self._junction_by_id[junction_id]
-
-    def bc_for(self, arc_id: str) -> BoundaryCondition | None:
-        return self._bc_by_arc.get(arc_id)
+        return _first(self.junctions, junction_id)
 
     def upstream_junction(self, arc_id: str) -> str | None:
-        return self._upstream.get(arc_id)
+        return next((j.id for j in self.junctions if arc_id in j.outgoing), None)
 
     def downstream_junction(self, arc_id: str) -> str | None:
-        return self._downstream.get(arc_id)
+        return next((j.id for j in self.junctions if arc_id in j.incoming), None)
 
     @property
     def source_arc_ids(self) -> list[str]:
         """Arcs fed by a boundary reservoir (no upstream junction)."""
-        return [a.id for a in self.arcs if a.id not in self._upstream]
+        fed = {arc_id for j in self.junctions for arc_id in j.outgoing}
+        return [a.id for a in self.arcs if a.id not in fed]
 
     @property
     def sink_arc_ids(self) -> list[str]:
         """Arcs with free outflow (no downstream junction)."""
-        return [a.id for a in self.arcs if a.id not in self._downstream]
+        drained = {arc_id for j in self.junctions for arc_id in j.incoming}
+        return [a.id for a in self.arcs if a.id not in drained]
 
     def validate(self) -> list[str]:
-        """Return the list of violated invariants; empty means valid.
-
-        The lookups are rebuilt first, so lists edited after construction
-        are judged, and answered by the lookups, as they stand now.
-        """
-        self._index()
+        """Return the list of violated invariants; empty means valid."""
         errors: list[str] = []
         position: dict[str, int] = {}  # arc id -> index of its first arc
         for k, arc in enumerate(self.arcs):
@@ -293,10 +268,10 @@ class Network:
             if bc.arc_id in bc_arcs:
                 errors.append(f"arc {bc.arc_id}: multiple boundary conditions")
             bc_arcs.add(bc.arc_id)
-            if bc.arc_id not in self._arc_by_id:
+            if bc.arc_id not in position:
                 errors.append(f"boundary condition references missing arc {bc.arc_id}")
                 continue
-            if bc.arc_id in self._upstream:
+            if bc.arc_id in used_as_out:
                 errors.append(f"arc {bc.arc_id}: boundary condition on a non-source arc")
             if not 0.0 <= bc.rho_bar <= self.model.rho_max:
                 errors.append(f"arc {bc.arc_id}: rho_bar {bc.rho_bar} outside [0, {self.model.rho_max}]")
@@ -304,8 +279,8 @@ class Network:
                 errors.append(f"arc {bc.arc_id}: tracer_in {bc.tracer_in} outside [0, 1]")
 
         for arc in self.arcs:
-            has_up = arc.id in self._upstream
-            has_down = arc.id in self._downstream
+            has_up = arc.id in used_as_out
+            has_down = arc.id in used_as_in
             if not has_up and arc.id not in bc_arcs:
                 errors.append(f"arc {arc.id}: no upstream junction and no boundary condition")
             if arc.kind == "external_in" and has_up:
@@ -319,6 +294,14 @@ class Network:
         if components > 1:
             errors.append(f"graph is not connected ({components} components)")
         return errors
+
+
+def _first(items: list, item_id: str):
+    """The first of items whose id is item_id; KeyError when none is."""
+    for item in items:
+        if item.id == item_id:
+            return item
+    raise KeyError(item_id)
 
 
 def _check_fraction(name: str, value: float) -> None:

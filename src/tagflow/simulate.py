@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import junctions as _junctions
-from .flux import FluxModel
+from .flux import DENSITY_TOL, FluxModel
 from .network import BoundaryCondition, Junction, Network
 
 __all__ = [
@@ -69,7 +69,6 @@ TRACER_PLACEHOLDER = 0.5
 # more steps than the clock can count.
 MAX_STEPS = 10**8
 
-_DENSITY_SLACK = 1e-12
 _TRACER_SLACK = 1e-9
 
 
@@ -240,7 +239,10 @@ class Simulator:
     in one call to its kernel in junctions.KERNELS, then routes bulk and
     tracer flux by the same formula for every row.  Instances hold no
     per-run state and may be shared across runs, but one SimState must
-    only ever be advanced by one thread at a time.
+    only ever be advanced by one thread at a time.  The network must not
+    be edited once its Simulator is built: the cell layout and the table
+    are copied from it, while run reads junction ids, routing matrices
+    and cell counts from the network itself when it builds its result.
 
     Work buffers: demand and supply over the cells and the table's
     slots, and the cells' flux differences; only a network with a tracer
@@ -380,7 +382,8 @@ class Simulator:
         self._dyn_in_iface = self._in_iface[dyn, 0]
         self._dyn_exit_iface = self._out_iface[dyn, exit_col]
         self._dyn_other_iface = self._out_iface[dyn, 1 - exit_col]
-        return [self.net.bc_for(self.arc_ids[k]) for k in sources]
+        bc_by_arc = {bc.arc_id: bc for bc in self.net.boundary_conditions}
+        return [bc_by_arc[self.arc_ids[k]] for k in sources]
 
     def _check_interface_cover(self):
         # the interior write F[1:n] then the table's first faces and ends
@@ -495,7 +498,7 @@ class Simulator:
         to_exit = np.where(
             self._dyn_takes_marked,
             np.minimum(m, bulk_exit),
-            np.maximum(bulk_exit - np.minimum(unmarked, bulk_exit), 0.0),
+            np.maximum(bulk_exit - unmarked, 0.0),
         )
         to_exit = np.minimum(to_exit, m)
         Fphi[self._dyn_exit_iface] = to_exit
@@ -532,7 +535,7 @@ class Simulator:
         np.subtract(out.rho, rho_new, out=rho_new)
 
         lo, hi = np.minimum.reduce(rho_new), np.maximum.reduce(rho_new)
-        if not (lo >= -_DENSITY_SLACK and hi <= self.model.rho_max + _DENSITY_SLACK):
+        if not (lo >= -DENSITY_TOL and hi <= self.model.rho_max + DENSITY_TOL):
             raise SimulationError(
                 f"density left [0, {self.model.rho_max}] at t={state.time:.6g} "
                 f"(range [{lo:.3e}, {hi:.3e}]); check the CFL number"

@@ -91,9 +91,15 @@ def test_constructor_rejects_bad_parameters():
 
 
 def test_array_inputs_round_trip():
-    rho = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_allclose(UNIT.flux(rho), rho * UNIT.velocity(rho), atol=0.0)
-    assert isinstance(UNIT.flux(0.3), float)
+    # one Greenshields expression: the pointwise methods and the engine's
+    # in-place demand_and_supply agree bit for bit, on any model
+    for model in (UNIT, FluxModel(1.3, 2.7), FluxModel(2.0, 3.0), FluxModel(0.7, 0.3)):
+        rho = np.linspace(0.0, model.rho_max, 1001)
+        demand, supply = model.demand_and_supply(rho)
+        np.testing.assert_array_equal(model.demand(rho), demand)
+        np.testing.assert_array_equal(model.supply(rho), supply)
+        np.testing.assert_array_equal(model.flux(rho), rho * model.velocity(rho))
+        assert isinstance(model.flux(0.3 * model.rho_max), float)
 
 
 @given(rho=densities)

@@ -231,6 +231,61 @@ def test_validate_survives_a_junction_without_incoming_arcs():
     assert net.downstream_junction("S1C") is None
 
 
+def test_lookups_read_the_live_lists():
+    net = build_roundabout(0.5, 0.5, 0.1, 0.1)
+    assert vars(net).keys() == {"model", "arcs", "junctions", "boundary_conditions"}
+    arc_ids = [a.id for a in net.arcs] + ["S9"]
+    junction_ids = [j.id for j in net.junctions] + ["J5", "J9"]
+
+    def first(items, item_id):
+        matches = [item for item in items if item.id == item_id]
+        return matches[0] if matches else None
+
+    def check():
+        fed = [a for j in net.junctions for a in j.outgoing]
+        drained = [a for j in net.junctions for a in j.incoming]
+        for arc_id in arc_ids:
+            expected = first(net.arcs, arc_id)
+            if expected is None:
+                with pytest.raises(KeyError):
+                    net.arc(arc_id)
+            else:
+                assert net.arc(arc_id) is expected
+            producers = [j.id for j in net.junctions if arc_id in j.outgoing]
+            consumers = [j.id for j in net.junctions if arc_id in j.incoming]
+            assert net.upstream_junction(arc_id) == (producers[0] if producers else None)
+            assert net.downstream_junction(arc_id) == (consumers[0] if consumers else None)
+        for junction_id in junction_ids:
+            expected = first(net.junctions, junction_id)
+            if expected is None:
+                with pytest.raises(KeyError):
+                    net.junction(junction_id)
+            else:
+                assert net.junction(junction_id) is expected
+        assert net.source_arc_ids == [a.id for a in net.arcs if a.id not in fed]
+        assert net.sink_arc_ids == [a.id for a in net.arcs if a.id not in drained]
+
+    check()
+    net.junction("J2").incoming = []
+    check()
+    assert net.downstream_junction("S1C") is None and "S1C" in net.sink_arc_ids
+    net.arcs = [a for a in net.arcs if a.id != "S4"]
+    check()
+    with pytest.raises(KeyError):
+        net.arc("S4")
+    net.junctions.append(Junction("J5", ["S3"], ["S1"], [[1.0]]))
+    check()
+    assert net.upstream_junction("S1") == "J5" and "S3" not in net.sink_arc_ids
+    # a duplicate id resolves to its first occurrence
+    first_s2, first_j1 = net.arc("S2"), net.junction("J1")
+    net.arcs.append(Arc("S2", 0.0, 2.0, 3, "generic"))
+    net.junctions.append(Junction("J1", ["S2"], ["S4C"], [[1.0]]))
+    check()
+    assert net.arc("S2") is first_s2 and net.junction("J1") is first_j1
+    assert net.downstream_junction("S2") == "J3" and net.upstream_junction("S4C") == "J4"
+    assert vars(net).keys() == {"model", "arcs", "junctions", "boundary_conditions"}
+
+
 _KINDS = {"in": "external_in", "out": "external_out", "gen": "generic"}
 
 

@@ -197,6 +197,32 @@ def hub_network(n_in: int, n_out: int, seed: int = 0, upstream: Network | None =
     )
 
 
+def ladder_network(widths, seed=0) -> Network:
+    """Arc layers of the given widths; each pair of neighbouring layers
+    is joined by one static junction taking every arc of the first
+    layer in and every arc of the second out."""
+    rng = np.random.default_rng(seed)
+    layers = [[f"L{i}_{k}" for k in range(w)] for i, w in enumerate(widths)]
+    last = len(layers) - 1
+    kinds = ["external_in"] + ["generic"] * (last - 1) + ["external_out"]
+    arcs = [Arc(arc_id, 0.0, 1.0, 5, kinds[i]) for i, layer in enumerate(layers) for arc_id in layer]
+    junctions = []
+    for i in range(last):
+        distribution = rng.uniform(0.1, 1.0, (len(layers[i + 1]), len(layers[i])))
+        priority = rng.uniform(0.1, 1.0, len(layers[i]))
+        junctions.append(
+            Junction(
+                f"G{i}",
+                layers[i],
+                layers[i + 1],
+                distribution / distribution.sum(axis=0),
+                priority=priority / priority.sum(),
+            )
+        )
+    bcs = [BoundaryCondition(a, float(rng.uniform(0.2, 0.5))) for a in layers[0]]
+    return Network(FluxModel(), arcs, junctions, bcs)
+
+
 def mixed_kind_network() -> Network:
     """Every junction kind in one table: three reservoirs feed a dynamic
     exit (1->2) and a static 1->3 diverge, which share the diverge rows;

@@ -19,7 +19,7 @@ from tagflow.simulate import Simulator
 
 from tagflow.flux import FluxModel
 
-from helpers import hub_network, mixed_kind_network, ring_network, single_arc_network
+from helpers import hub_network, ladder_network, mixed_kind_network, ring_network, single_arc_network
 
 ROUNDABOUT = Path(__file__).parent.parent / "demos" / "roundabout.json"
 
@@ -50,6 +50,7 @@ STATE_SHA256 = {
     },
     "ring": {"rho": "2110e26cc6145e5dc43802ee22af002378d306e260596c9eef4b5235b002c332"},
     "hub": {"rho": "9dc2347f969384c9c2b83e676132f848580c54a68631e073c6138096986ae8de"},
+    "ladder": {"rho": "fd279fbc806ef2a07bf2118d0c8e725bc726df0079a2624ef9cc61df689ea801"},
 }
 NETWORKS = {
     "diamond-chain": lambda: build_diamond_chain(40, 5),
@@ -62,6 +63,9 @@ NETWORKS = {
     "ring": ring_network,
     # one general junction; every other table row is a reservoir or a sink arc
     "hub": lambda: hub_network(6, 3, seed=5),
+    # seven general junctions of every shape from 2x2 to 3x3, the
+    # generic-grid workload's shapes
+    "ladder": lambda: ladder_network((2, 2, 3, 2, 3, 3, 2, 2)),
 }
 # a lone cell settles on its reservoir's density within 200 steps, so it
 # is pinned while it still moves

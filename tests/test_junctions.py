@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -387,6 +388,49 @@ def test_sixteen_incoming_arcs_where_the_lp_refinement_fails():
     assert np.all(gamma >= 0.0) and np.all(gamma <= d)
     assert np.all(a @ gamma <= s + 1e-12)
     assert abs(gamma.sum() - _max_total(d, s, a)) <= 1e-12
+
+
+_DEGENERATE = np.array([0.0, 0.05, 0.1, 0.2, 0.25])
+# sha256 of general's answers, tobytes() in turn, over _pinned_batch's
+# shapes n_in 2-8 by n_out 1-5 from seed 15
+GENERAL_SHA256 = {
+    "continuous": "49ed379424730a8ed32536049bd57f688c2560afc2efe148415f7b368b180ca4",
+    "degenerate": "3c4a9e525086ced81b6cb76faca157d4f230703f0379341fcbdef6b3408fb0c6",
+}
+
+
+def _pinned_batch(rng, n_in, n_out, size, degenerate):
+    """size general problems of one shape, columns in priority order.
+
+    Degenerate problems draw every value from _DEGENERATE, so equal
+    reduced costs are common and later stages still have free
+    variables; continuous ones zero a tenth of the demands.  Either way
+    about a quarter of the routing entries are zero, each column keeps
+    one nonzero entry, and every column sums to one.
+    """
+    if degenerate:
+        demands = rng.choice(_DEGENERATE, (size, n_in))
+        supplies = rng.choice(_DEGENERATE, (size, n_out))
+        distribution = rng.choice(_DEGENERATE[1:], (size, n_out, n_in))
+    else:
+        demands = rng.uniform(0.0, 0.25, (size, n_in))
+        supplies = rng.uniform(0.0, 0.3, (size, n_out))
+        distribution = rng.uniform(0.1, 1.0, (size, n_out, n_in))
+        demands[rng.random(demands.shape) < 0.1] = 0.0
+    zero = rng.random(distribution.shape) < 0.25
+    zero[np.arange(size)[:, None], rng.integers(0, n_out, (size, n_in)), np.arange(n_in)] = False
+    distribution[zero] = 0.0
+    distribution /= distribution.sum(axis=1, keepdims=True)
+    return demands, supplies, distribution
+
+
+@pytest.mark.parametrize("kind", sorted(GENERAL_SHA256))
+def test_general_is_bit_identical(kind):
+    rng = np.random.default_rng(15)
+    digest = hashlib.sha256()
+    for n_in, n_out in itertools.product(range(2, 9), range(1, 6)):
+        digest.update(general(*_pinned_batch(rng, n_in, n_out, 200, kind == "degenerate")).tobytes())
+    assert digest.hexdigest() == GENERAL_SHA256[kind]
 
 
 _RUNS_WITHOUT_SCIPY = """

@@ -27,6 +27,7 @@ from tagflow.bench import build_diamond_chain
 
 from helpers import (
     hub_network,
+    ladder_network,
     mixed_kind_network,
     random_network,
     riemann_l1_error,
@@ -605,32 +606,6 @@ def test_merge_within_column_tolerance_skips_the_lp(monkeypatch):
     for _ in range(10):
         state = sim.step(state, sim.stable_dt(0.5))
     assert sim.total_mass(state) > 0.0
-
-
-def ladder_network(widths, seed=0):
-    """Arc layers of the given widths; each pair of neighbouring layers
-    is joined by one static junction taking every arc of the first
-    layer in and every arc of the second out."""
-    rng = np.random.default_rng(seed)
-    layers = [[f"L{i}_{k}" for k in range(w)] for i, w in enumerate(widths)]
-    last = len(layers) - 1
-    kinds = ["external_in"] + ["generic"] * (last - 1) + ["external_out"]
-    arcs = [Arc(arc_id, 0.0, 1.0, 5, kinds[i]) for i, layer in enumerate(layers) for arc_id in layer]
-    junctions = []
-    for i in range(last):
-        distribution = rng.uniform(0.1, 1.0, (len(layers[i + 1]), len(layers[i])))
-        priority = rng.uniform(0.1, 1.0, len(layers[i]))
-        junctions.append(
-            Junction(
-                f"G{i}",
-                layers[i],
-                layers[i + 1],
-                distribution / distribution.sum(axis=0),
-                priority=priority / priority.sum(),
-            )
-        )
-    bcs = [BoundaryCondition(a, float(rng.uniform(0.2, 0.5))) for a in layers[0]]
-    return Network(UNIT, arcs, junctions, bcs)
 
 
 def test_general_junctions_skip_the_lp():

@@ -94,9 +94,10 @@ class FluxModel:
         """Demand and supply of an array in one shot, into buffers.
 
         The fast path of the stepping engine; check=False skips the
-        domain validation for densities the caller already clamped.
+        domain validation, and the conversion, for a float array the
+        caller already clamped.
         """
-        arr = self.clamp_density(rho) if check else np.asarray(rho, dtype=float)
+        arr = self.clamp_density(rho) if check else rho
         slope = self.v_max / self.rho_max
         d = np.minimum(arr, self.sigma, out=out_demand)
         s = np.maximum(arr, self.sigma, out=out_supply)

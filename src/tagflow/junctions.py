@@ -154,7 +154,9 @@ def diverge(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> n
     supply; outgoing arcs with a zero share impose no cap.
     """
     split = routing[:, :, 0]
-    limit = np.divide(supplies, split, out=np.full(supplies.shape, np.inf), where=split > 0.0)
+    limit = np.empty(supplies.shape)  # and fill: np.full is a Python wrapper
+    limit.fill(np.inf)
+    np.divide(supplies, split, out=limit, where=split > 0.0)
     # one column at a time: numpy reduces a short row far slower
     admitted = np.minimum(demands[:, 0], limit[:, 0])
     for j in range(1, limit.shape[1]):
@@ -184,37 +186,43 @@ def general(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> n
     1983, ch. 8) solves every junction in lockstep from the origin,
     which is always feasible: 0 <= gamma <= d are bounds, and
     A gamma + w = s, with slacks w >= 0, are the n_out rows of each
-    junction's tableau.  The first stage maximizes the total.  Each
-    later stage fixes every nonbasic variable whose reduced cost is
-    nonzero, which keeps the earlier stages' optima, and maximizes the
-    next incoming arc in priority order.  Bland's rule picks the
-    entering and leaving variables, so no stage cycles.  Every
-    operation acts on one junction's own entries, so a junction's
-    answer does not depend on the batch it is solved in.
+    junction's tableau.  Stage one maximizes the total; its basis is
+    all slacks, of cost 0, so its reduced costs are the costs.  Each
+    later stage fixes every nonbasic variable of nonzero reduced cost,
+    keeping the earlier optima, and maximizes the next incoming arc in
+    priority order.  Only a free variable enters, and none is freed
+    again: once no junction has one, no stage left can move anything.
+    Bland's rule picks the entering and leaving variables, so no stage
+    cycles.  Each junction's answer is its own, whatever the batch.
     """
     n_batch, n_in = demands.shape
     n_out = supplies.shape[1]
     n_var = n_in + n_out
-    upper = np.concatenate([demands, np.full_like(supplies, np.inf)], axis=1)
-    value = np.concatenate([np.zeros_like(demands), supplies], axis=1)
+    upper = np.empty((n_batch, n_var))
+    upper[:, :n_in] = demands
+    upper[:, n_in:] = np.inf
+    value = np.zeros((n_batch, n_var))
+    value[:, n_in:] = supplies
     # rows B^-1 [A I], then the reduced costs of the current stage
     tableau = np.zeros((n_batch, n_out + 1, n_var))
     tableau[:, :n_out, :n_in] = routing
-    tableau[:, np.arange(n_out), n_in + np.arange(n_out)] = 1.0
-    basis = np.tile(np.arange(n_in, n_var), (n_batch, 1))
-    # nonbasic and not fixed: the variables that may enter
-    free = np.tile(np.arange(n_var) < n_in, (n_batch, 1))
-    # the total first, then each incoming arc in priority order; an arc
-    # no junction demands anything of (padding, say) never moves, so its
-    # stage would change nothing
-    stages = np.vstack([np.eye(n_in, n_var).sum(axis=0), np.eye(n_in, n_var)])
-    for cost in stages[np.r_[True, demands.any(axis=0)]]:
-        reduced = tableau[:, n_out]
-        reduced[:] = cost
-        for k in range(n_out):
-            reduced -= cost[basis[:, k], None] * tableau[:, k]
-        _climb(tableau, basis, free, value, upper)
+    tableau[:, np.arange(n_out), np.arange(n_in, n_var)] = 1.0
+    basis = np.zeros((n_batch, n_out), dtype=np.intp) + np.arange(n_in, n_var)
+    # nonbasic and not fixed, the variables that may enter: the arcs
+    free = upper < np.inf
+    reduced = tableau[:, n_out]
+    reduced[:, :n_in] = 1.0
+    _climb(tableau, basis, free, value, upper)
+    # then each arc in turn; one no junction demands anything of
+    # (padding, say) never moves, so its stage would change nothing
+    for i in np.flatnonzero(demands.any(axis=0)).tolist():
         free &= np.abs(reduced) <= _TIE_TOL
+        if not free.any():
+            break
+        reduced[:] = np.arange(n_var) == i
+        for k in range(n_out):
+            reduced -= (basis[:, k, None] == i) * tableau[:, k]
+        _climb(tableau, basis, free, value, upper)
     return np.clip(value[:, :n_in], 0.0, demands)
 
 

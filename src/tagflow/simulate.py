@@ -239,10 +239,10 @@ class Simulator:
     in one call to its kernel in junctions.KERNELS, then routes bulk and
     tracer flux by the same formula for every row.  Instances hold no
     per-run state and may be shared across runs, but one SimState must
-    only ever be advanced by one thread at a time.  The network must not
-    be edited once its Simulator is built: the cell layout and the table
-    are copied from it, while run reads junction ids, routing matrices
-    and cell counts from the network itself when it builds its result.
+    only ever be advanced by one thread at a time.  The cell layout, the
+    junction ids and the table are copied from the network when the
+    Simulator is built; steps and run results read only those copies,
+    so a later edit of the network changes neither.
 
     Work buffers: demand and supply over the cells and the table's
     slots, and the cells' flux differences; only a network with a tracer
@@ -361,7 +361,9 @@ class Simulator:
         # the boundary totals sum in arc order
         self._inflow_iface = self.arc_first_iface[sources]
         self._outflow_iface = self.arc_last_iface[sinks]
-        # the balance check reads the network's own arc lists, not the table
+        # the balance check and a run's junction arcs read each junction's
+        # own arc lists, in network order, not the table
+        self._junction_ids = [j.id for j in net_juncs]
         self._balance_in = self.arc_last_iface[[idx[a] for j in net_juncs for a in j.incoming]]
         self._balance_out = self.arc_first_iface[[idx[a] for j in net_juncs for a in j.outgoing]]
         self._balance_at = [
@@ -586,11 +588,37 @@ class Simulator:
         """Per-junction |sum incoming - sum outgoing| boundary flux."""
         inflow = np.add.reduceat(snap.fluxes[self._balance_in], self._balance_at[0])
         outflow = np.add.reduceat(snap.fluxes[self._balance_out], self._balance_at[1])
-        return dict(zip((j.id for j in self.net.junctions), np.abs(inflow - outflow).tolist()))
+        return dict(zip(self._junction_ids, np.abs(inflow - outflow).tolist()))
 
     def arc_boundary_fluxes(self, snap: FluxSnapshot) -> np.ndarray:
         """Downstream interface flux of every arc, in arc order."""
         return snap.fluxes[self.arc_last_iface]
+
+    def _stepped_junctions(self, n_samples: int) -> tuple[dict, dict]:
+        """Each junction's (incoming, outgoing) arc ids and routing as stepped.
+
+        Both come from the balance check's arc lists and the junction
+        table, not from the network.  A routing matrix is one read-only
+        view broadcast over the n_samples samples, (n_samples, n_out,
+        n_in), its columns back in network order; a dynamic junction's
+        entry is its current split, which run replaces.
+        """
+        # table row and priority column of each junction's incoming arcs
+        flat = np.empty(self.total_ifaces + 1, dtype=np.intp)
+        flat[self._in_iface.ravel()] = np.arange(self._in_iface.size)
+        row, col = np.divmod(flat[self._balance_in], self._in_iface.shape[1])
+        columns = self._routing[row, :, col]
+        ids = self.arc_ids
+        ins = (self._balance_in - self.total_cells).tolist()
+        outs = np.searchsorted(self.arc_first_iface, self._balance_out).tolist()
+        in_at = self._balance_at[0].tolist() + [len(ins)]
+        out_at = self._balance_at[1].tolist() + [len(outs)]
+        arcs, coefficients = {}, {}
+        for k, jid in enumerate(self._junction_ids):
+            a, b, c, d = in_at[k], in_at[k + 1], out_at[k], out_at[k + 1]
+            arcs[jid] = ([ids[i] for i in ins[a:b]], [ids[o] for o in outs[c:d]])
+            coefficients[jid] = np.broadcast_to(columns[a:b, : d - c].T, (n_samples, d - c, b - a))
+        return arcs, coefficients
 
     # -- driver --------------------------------------------------------------
 
@@ -672,13 +700,8 @@ class Simulator:
         final_fluxes = {
             arc_id: float(flux_arr[-1, k]) for k, arc_id in enumerate(self.arc_ids)
         }
+        junction_arcs, coefficients = self._stepped_junctions(len(times))
         splits = np.asarray(split_rows)
-        # static routing is one read-only view per junction, not a copy per
-        # sample; dynamic rows are writable copies
-        coefficients = {
-            j.id: np.broadcast_to(j.distribution.copy(), (len(times), *j.distribution.shape))
-            for j in self.net.junctions
-        }
         for k, junc in enumerate(self._dyn_junctions):
             coefficients[junc.id] = splits[:, k, :, None].copy()
         first_arrival = {
@@ -700,10 +723,8 @@ class Simulator:
         }
         return RunResult(
             arc_ids=list(self.arc_ids),
-            cells_per_arc={a.id: a.n_cells for a in self.net.arcs},
-            junction_arcs={
-                j.id: (list(j.incoming), list(j.outgoing)) for j in self.net.junctions
-            },
+            cells_per_arc=dict(zip(self.arc_ids, self.n_cells.tolist())),
+            junction_arcs=junction_arcs,
             times=times_arr,
             arc_fluxes=flux_arr,
             coefficients=coefficients,

@@ -708,6 +708,39 @@ def _tracer_mass_residuals(sim, steps):
     return np.array(residuals)
 
 
+def test_run_reports_the_network_it_stepped():
+    config = SimConfig(t_end=2.0)
+    net = build_diamond_chain(4, 5)
+    sim = Simulator(net)
+    # the engine copied its routing when it was built, so this edit
+    # changes neither the run nor its report
+    net.junction("split0").distribution = np.array([[0.9], [0.1]])
+    result = sim.run(config)
+    np.testing.assert_array_equal(result.coefficients["split0"][-1], [[0.6], [0.4]])
+    fresh = Simulator(build_diamond_chain(4, 5)).run(config)
+    np.testing.assert_array_equal(result.arc_fluxes, fresh.arc_fluxes)
+    assert result.junction_arcs == fresh.junction_arcs
+    assert result.cells_per_arc == fresh.cells_per_arc
+
+
+@pytest.mark.parametrize(
+    "network",
+    [mixed_kind_network, lambda: hub_network(16, 4, seed=5, upstream=ladder_network((2, 4, 2)))],
+    ids=["mixed", "hub"],
+)
+def test_run_reports_each_junction_in_network_order(network):
+    # priorities reorder the table's columns; the report puts them back
+    net = network()
+    result = Simulator(net).run(SimConfig(t_end=0.5))
+    assert result.cells_per_arc == {a.id: a.n_cells for a in net.arcs}
+    for junc in net.junctions:
+        assert result.junction_arcs[junc.id] == (junc.incoming, junc.outgoing)
+        if junc.coefficient_mode != "dynamic":
+            matrices = result.coefficients[junc.id]
+            assert matrices.shape == (result.times.size, *junc.distribution.shape)
+            assert np.array_equal(matrices, np.broadcast_to(junc.distribution, matrices.shape)), junc.id
+
+
 def test_tracer_mass_conserved_per_step_on_the_roundabout():
     net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=30)
     assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12

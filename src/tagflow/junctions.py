@@ -208,7 +208,7 @@ def general(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> n
     tableau[:, :n_out, :n_in] = routing
     tableau[:, np.arange(n_out), np.arange(n_in, n_var)] = 1.0
     basis = np.zeros((n_batch, n_out), dtype=np.intp) + np.arange(n_in, n_var)
-    # nonbasic and not fixed, the variables that may enter: the arcs
+    # nonbasic and not fixed, the variables that may enter: at first the arcs
     free = upper < np.inf
     reduced = tableau[:, n_out]
     reduced[:, :n_in] = 1.0

@@ -603,14 +603,16 @@ class Simulator:
         n_in), its columns back in network order; a dynamic junction's
         entry is its current split, which run replaces.
         """
-        # table row and priority column of each junction's incoming arcs
-        flat = np.empty(self.total_ifaces + 1, dtype=np.intp)
-        flat[self._in_iface.ravel()] = np.arange(self._in_iface.size)
-        row, col = np.divmod(flat[self._balance_in], self._in_iface.shape[1])
+        # each junction's arcs: arc k ends at interface total_cells + k
+        # and starts at the first face of its cells
+        ins = self._balance_in - self.total_cells
+        outs = np.searchsorted(self.arc_first_iface, self._balance_out)
+        # the table row, and the column in priority order, of each incoming arc
+        at = np.empty(len(self.arc_ids) + 1, dtype=np.intp)
+        at[self._in_iface.ravel() - self.total_cells] = np.arange(self._in_iface.size)
+        row, col = np.divmod(at[ins], self._in_iface.shape[1])
         columns = self._routing[row, :, col]
-        ids = self.arc_ids
-        ins = (self._balance_in - self.total_cells).tolist()
-        outs = np.searchsorted(self.arc_first_iface, self._balance_out).tolist()
+        ids, ins, outs = self.arc_ids, ins.tolist(), outs.tolist()
         in_at = self._balance_at[0].tolist() + [len(ins)]
         out_at = self._balance_at[1].tolist() + [len(outs)]
         arcs, coefficients = {}, {}

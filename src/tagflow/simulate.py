@@ -240,9 +240,10 @@ class Simulator:
     tracer flux by the same formula for every row.  Instances hold no
     per-run state and may be shared across runs, but one SimState must
     only ever be advanced by one thread at a time.  The cell layout, the
-    junction ids and the table are copied from the network when the
-    Simulator is built; steps and run results read only those copies,
-    so a later edit of the network changes neither.
+    junction ids, the table and the initial splits are copied from the
+    network when the Simulator is built; states, steps and run results
+    read only those copies, so a later edit of the network changes none
+    of them.
 
     Work buffers: demand and supply over the cells and the table's
     slots, and the cells' flux differences; only a network with a tracer
@@ -273,7 +274,7 @@ class Simulator:
         self.arc_last_iface = self.total_cells + np.arange(len(arcs), dtype=np.intp)
 
         reservoirs = self._build_junction_table()
-        self.tracer_enabled = bool(self._dyn_junctions)
+        self.tracer_enabled = bool(self._dyn_ids)
         self._check_interface_cover()
 
         # work buffers for the hot path; these make compute_fluxes/apply
@@ -376,7 +377,10 @@ class Simulator:
         mode = [j.coefficient_mode for j in net_juncs] + [None] * len(ends)
         dyn = np.flatnonzero([mode[r] == "dynamic" for r in rows])
         self._dyn_split = np.ravel_multi_index((dyn[:, None], [0, 1], 0), self._routing.shape)
-        self._dyn_junctions = dynamic = [net_juncs[rows[p]] for p in dyn]
+        # the initial splits, copied before the first step overwrites them
+        self._dyn_initial = self._routing.flat[self._dyn_split]
+        dynamic = [net_juncs[rows[p]] for p in dyn]
+        self._dyn_ids = [j.id for j in dynamic]
         exit_col = np.array([j.outgoing.index(j.exit_arc) for j in dynamic], dtype=np.intp)
         self._dyn_exit_mask = exit_col[:, None] == [0, 1]
         self._dyn_takes_marked = np.array([j.exit_tracer == 1.0 for j in dynamic], dtype=bool)
@@ -407,9 +411,7 @@ class Simulator:
             step_count=0,
             rho=np.zeros(self.total_cells),
             phi=phi,
-            exit_splits=np.array(
-                [j.distribution[:, 0] for j in self._dyn_junctions]
-            ).reshape(-1, 2),
+            exit_splits=self._dyn_initial.copy(),
         )
 
     def cells(self, state_array: np.ndarray, arc_id: str) -> np.ndarray:
@@ -651,7 +653,7 @@ class Simulator:
         split_rows: list[np.ndarray] = []
         density_rows: list[np.ndarray] = []
         tracer_rows: list[np.ndarray] = []
-        arrived = np.zeros(len(self._dyn_junctions), dtype=bool)
+        arrived = np.zeros(len(self._dyn_ids), dtype=bool)
         arrival_time = np.zeros(arrived.size)
         arrival_split = np.zeros((arrived.size, 2))
         waiting = update and arrived.size > 0
@@ -704,11 +706,11 @@ class Simulator:
         }
         junction_arcs, coefficients = self._stepped_junctions(len(times))
         splits = np.asarray(split_rows)
-        for k, junc in enumerate(self._dyn_junctions):
-            coefficients[junc.id] = splits[:, k, :, None].copy()
+        for k, jid in enumerate(self._dyn_ids):
+            coefficients[jid] = splits[:, k, :, None].copy()
         first_arrival = {
-            junc.id: (float(arrival_time[k]), arrival_split[k].copy())
-            for k, junc in enumerate(self._dyn_junctions)
+            jid: (float(arrival_time[k]), arrival_split[k].copy())
+            for k, jid in enumerate(self._dyn_ids)
             if arrived[k]
         }
         summary = {

@@ -723,6 +723,15 @@ def test_run_reports_the_network_it_stepped():
     assert result.cells_per_arc == fresh.cells_per_arc
 
 
+def test_initial_splits_are_copied_when_built():
+    net = build_roundabout(0.5, 0.5, 0.1, 0.1, cells_per_arc=5)
+    sim = Simulator(net)
+    net.junction("J2").distribution = np.array([[0.9], [0.1]])
+    np.testing.assert_array_equal(sim.init_state().exit_splits, [[0.5, 0.5], [0.5, 0.5]])
+    result = sim.run(SimConfig(t_end=1.0, coefficient_mode="static"))
+    np.testing.assert_array_equal(result.coefficients["J2"][:, :, 0], np.full((result.times.size, 2), 0.5))
+
+
 @pytest.mark.parametrize(
     "network",
     [mixed_kind_network, lambda: hub_network(16, 4, seed=5, upstream=ladder_network((2, 4, 2)))],

@@ -14,8 +14,10 @@ from .junctions import JunctionFluxSolution, JunctionProblem, brute_force_solve,
 from .network import (
     Arc,
     BoundaryCondition,
+    InvalidInputError,
     Junction,
     Network,
+    NetworkValidationError,
     UndefinedCoefficientsError,
     build_roundabout,
     check_low_flow,
@@ -24,14 +26,7 @@ from .network import (
     initial_coefficients,
 )
 from .output import write_timeseries
-from .scenario import (
-    NetworkValidationError,
-    ScenarioError,
-    ScenarioSchemaError,
-    ScenarioSyntaxError,
-    parse_scenario,
-    write_scenario,
-)
+from .scenario import ScenarioSchemaError, ScenarioSyntaxError, parse_scenario, write_scenario
 from .simulate import (
     RunResult,
     SimConfig,
@@ -49,13 +44,13 @@ __all__ = [
     "BenchReport",
     "BoundaryCondition",
     "FluxModel",
+    "InvalidInputError",
     "Junction",
     "JunctionFluxSolution",
     "JunctionProblem",
     "Network",
     "NetworkValidationError",
     "RunResult",
-    "ScenarioError",
     "ScenarioSchemaError",
     "ScenarioSyntaxError",
     "SimConfig",

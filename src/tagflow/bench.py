@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flux import FluxModel
-from .network import Arc, BoundaryCondition, Junction, Network
+from .network import Arc, BoundaryCondition, InvalidInputError, Junction, Network
 from .simulate import SimConfig, Simulator
 
 __all__ = ["BenchReport", "build_diamond_chain", "run_bench"]
@@ -43,7 +43,7 @@ def build_diamond_chain(
 ) -> Network:
     """Chain of diamonds with at least n_arcs arcs (3 per diamond + 1)."""
     if n_arcs < 1 or cells_per_arc < 1:
-        raise ValueError("arc and cell counts must be positive")
+        raise InvalidInputError("arc and cell counts must be positive")
     model = model or FluxModel()
     n_diamonds = max(1, (n_arcs - 1 + 2) // 3)  # round up to cover the request
 
@@ -88,7 +88,7 @@ def run_bench(n_arcs: int, cells_per_arc: int, steps: int) -> BenchReport:
     with accumulated round-off, max(1e-10, 1e-15 * cells * steps).
     """
     if steps < 1:
-        raise ValueError("steps must be positive")
+        raise InvalidInputError("steps must be positive")
     net = build_diamond_chain(n_arcs, cells_per_arc)
     sim = Simulator(net)
     dt = sim.stable_dt(0.5)

@@ -3,7 +3,11 @@
 Exit codes are a stable contract: 0 success, 2 invalid input (bad
 arguments, unreadable files, schema or network violations, runs longer
 than MAX_STEPS steps), 3 runtime failure (simulation blow-up,
-unwritable output).
+unwritable output, exhausted memory, or any internal error, which
+prints one "internal error: ..." line).  main is the one place that
+turns an exception into an exit code: input is refused with an
+InvalidInputError, and any other exception is a fault of the run or of
+the engine.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import math
 import sys
 
 from .bench import run_bench
-from .network import build_roundabout
+from .network import InvalidInputError, build_roundabout
 from .output import write_timeseries
-from .scenario import ScenarioError, parse_scenario, write_scenario
+from .scenario import parse_scenario, write_scenario
 from .simulate import SimConfig, SimulationError, Simulator
 
 EXIT_OK = 0
@@ -78,25 +82,17 @@ def _add_roundabout_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_roundabout(args):
-    """The roundabout the options describe, or None once stderr says why not."""
-    try:
-        return build_roundabout(args.alpha, args.beta, args.rho1, args.rho2, args.cells)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
+    return build_roundabout(args.alpha, args.beta, args.rho1, args.rho2, args.cells)
 
 
 def _load_scenario(path: str):
-    """The parsed (network, config), or None once stderr says why not."""
+    """The parsed (network, config) of the scenario file at path."""
     try:
         with open(path) as fh:
-            return parse_scenario(fh.read())
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-    except ScenarioError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-    return None
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    return parse_scenario(text)
 
 
 def _report_run(result) -> None:
@@ -111,22 +107,8 @@ def _report_run(result) -> None:
 
 
 def _run_and_write(net, config, out_dir: str) -> int:
-    try:
-        result = Simulator(net).run(config)
-    except ValueError as exc:  # more steps than MAX_STEPS
-        print(f"cannot run: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except SimulationError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_FAILURE
-    except MemoryError:
-        print("simulation exhausted memory", file=sys.stderr)
-        return EXIT_RUNTIME_FAILURE
-    try:
-        paths = write_timeseries(result, out_dir)
-    except OSError as exc:
-        print(f"cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_FAILURE
+    result = Simulator(net).run(config)
+    paths = write_timeseries(result, out_dir)
     _report_run(result)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
@@ -134,48 +116,23 @@ def _run_and_write(net, config, out_dir: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    loaded = _load_scenario(args.scenario)
-    if loaded is None:
-        return EXIT_INVALID_INPUT
-    return _run_and_write(*loaded, args.out)
+    return _run_and_write(*_load_scenario(args.scenario), args.out)
 
 
 def _cmd_roundabout(args) -> int:
     net = _build_roundabout(args)
-    if net is None:
-        return EXIT_INVALID_INPUT
-    try:
-        config = SimConfig(
-            t_end=args.t_end,
-            coefficient_mode="network" if args.dynamic else "static",
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    config = SimConfig(t_end=args.t_end, coefficient_mode="network" if args.dynamic else "static")
     return _run_and_write(net, config, args.out)
 
 
 def _cmd_validate(args) -> int:
-    loaded = _load_scenario(args.scenario)
-    if loaded is None:
-        return EXIT_INVALID_INPUT
-    net, _ = loaded
+    net, _ = _load_scenario(args.scenario)
     print(f"valid: {len(net.arcs)} arcs, {len(net.junctions)} junctions")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    if args.arcs < 1 or args.cells < 1 or args.steps < 1:
-        print("bench parameters must be positive", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    try:
-        report = run_bench(args.arcs, args.cells, args.steps)
-    except ValueError as exc:  # more steps than MAX_STEPS
-        print(f"cannot run: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except MemoryError:
-        print("benchmark exhausted memory", file=sys.stderr)
-        return EXIT_RUNTIME_FAILURE
+    report = run_bench(args.arcs, args.cells, args.steps)
     print(
         f"arcs: {report.n_arcs} (requested {report.requested_arcs}), "
         f"junctions: {report.n_junctions}, cells/arc: {report.cells_per_arc}, "
@@ -193,10 +150,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    net = _build_roundabout(args)
-    if net is None:
-        return EXIT_INVALID_INPUT
-    sys.stdout.write(write_scenario(net))
+    sys.stdout.write(write_scenario(_build_roundabout(args)))
     return EXIT_OK
 
 
@@ -209,7 +163,21 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "scenario": _cmd_scenario,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except InvalidInputError as exc:
+        for line in exc.errors:
+            print(line, file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except SimulationError as exc:
+        print(f"simulation failed: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("ran out of memory", file=sys.stderr)
+    except Exception as exc:  # a fault of the engine, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_RUNTIME_FAILURE
 
 
 if __name__ == "__main__":

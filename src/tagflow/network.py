@@ -34,6 +34,8 @@ __all__ = [
     "Junction",
     "BoundaryCondition",
     "Network",
+    "InvalidInputError",
+    "NetworkValidationError",
     "UndefinedCoefficientsError",
     "build_roundabout",
     "initial_coefficients",
@@ -51,6 +53,18 @@ _COLUMN_TOL = 1e-9
 _MAX_INTERFACES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 # Characters an id may not hold: the CSV output writes ids unquoted.
 _CSV_SPECIAL = frozenset(',"\r\n')
+
+
+class InvalidInputError(ValueError):
+    """Input the caller can correct; .errors lists one message per problem."""
+
+    def __init__(self, errors):
+        self.errors = [errors] if isinstance(errors, str) else list(errors)
+        super().__init__("; ".join(self.errors))
+
+
+class NetworkValidationError(InvalidInputError):
+    """A network that violates an invariant; .errors is its validate() report."""
 
 
 class UndefinedCoefficientsError(ValueError):
@@ -306,7 +320,7 @@ def _first(items: list, item_id: str):
 
 def _check_fraction(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
 
 
 def build_roundabout(
@@ -331,9 +345,9 @@ def build_roundabout(
     _check_fraction("beta", beta)
     for name, rho in (("rho_bar_1", rho_bar_1), ("rho_bar_2", rho_bar_2)):
         if not 0.0 <= rho <= model.sigma:
-            raise ValueError(f"{name} must lie in [0, sigma={model.sigma}], got {rho}")
+            raise InvalidInputError(f"{name} must lie in [0, sigma={model.sigma}], got {rho}")
     if cells_per_arc < 1:
-        raise ValueError("cells_per_arc must be >= 1")
+        raise InvalidInputError("cells_per_arc must be >= 1")
 
     def arc(arc_id: str, kind: str) -> Arc:
         return Arc(id=arc_id, a=0.0, b=1.0, n_cells=cells_per_arc, kind=kind)

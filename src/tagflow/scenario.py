@@ -2,11 +2,15 @@
 
 A scenario bundles the flux model, the topology, boundary reservoirs,
 and run parameters.  Parsing is strict: unknown fields are rejected and
-every complaint carries the path of the offending field.  Three failure
-classes are distinguished so callers can map them to exit codes:
+every complaint carries the path of the offending field.  Every refusal
+is an InvalidInputError, whose .errors lists one line per problem.  That
+one error family lives in network.py, the lowest module that checks
+caller input, and the network, SimConfig, Simulator and the benchmark
+raise it too.  A scenario is refused as one of three kinds:
 ScenarioSyntaxError (not JSON at all), ScenarioSchemaError (JSON that
-does not fit the schema), NetworkValidationError (well-formed scenario
-whose network breaks an invariant).
+does not fit the schema, config values included),
+NetworkValidationError (well-formed scenario whose network breaks an
+invariant, as Simulator(net) reports it too).
 
 The package's scenario.schema.json is the only description of a
 scenario: parse_scenario checks the JSON against it, filling in its
@@ -21,11 +25,11 @@ import math
 from importlib import resources
 
 from .flux import FluxModel
-from .network import Arc, BoundaryCondition, Junction, Network
+from .network import Arc, BoundaryCondition, InvalidInputError, Junction, Network, NetworkValidationError
 from .simulate import SimConfig
 
 __all__ = [
-    "ScenarioError",
+    "InvalidInputError",
     "ScenarioSyntaxError",
     "ScenarioSchemaError",
     "NetworkValidationError",
@@ -34,24 +38,12 @@ __all__ = [
 ]
 
 
-class ScenarioError(ValueError):
-    """Base class; .errors lists one message per problem."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
-
-
-class ScenarioSyntaxError(ScenarioError):
+class ScenarioSyntaxError(InvalidInputError):
     """The text is not valid JSON."""
 
 
-class ScenarioSchemaError(ScenarioError):
+class ScenarioSchemaError(InvalidInputError):
     """Valid JSON that does not match the scenario schema."""
-
-
-class NetworkValidationError(ScenarioError):
-    """Schema-valid scenario whose network violates an invariant."""
 
 
 _ANNOTATIONS = frozenset({"$schema", "title", "description"})
@@ -185,7 +177,7 @@ def parse_scenario(text: str) -> tuple[Network, SimConfig]:
         raise ScenarioSchemaError(errors)
     try:
         config = SimConfig(**data["config"])
-    except ValueError as exc:
+    except InvalidInputError as exc:
         raise ScenarioSchemaError([f"config: {exc}"]) from exc
 
     net = Network(

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import junctions as _junctions
 from .flux import DENSITY_TOL, FluxModel
-from .network import BoundaryCondition, Junction, Network
+from .network import BoundaryCondition, InvalidInputError, Junction, Network, NetworkValidationError
 
 __all__ = [
     "EPS_FLUX",
@@ -96,15 +96,15 @@ class SimConfig:
     def __post_init__(self):
         # written so that NaN fails every check
         if not 0.0 < self.cfl_number <= 1.0:
-            raise ValueError("cfl_number must lie in (0, 1]")
+            raise InvalidInputError("cfl_number must lie in (0, 1]")
         if not 0.0 < self.t_end < np.inf:
-            raise ValueError("t_end must be positive and finite")
+            raise InvalidInputError("t_end must be positive and finite")
         if not self.sample_interval > 0.0:
-            raise ValueError("sample_interval must be positive")
+            raise InvalidInputError("sample_interval must be positive")
         if not (self.equilibrium_window > 0.0 and self.equilibrium_tol > 0.0):
-            raise ValueError("equilibrium window and tolerance must be positive")
+            raise InvalidInputError("equilibrium window and tolerance must be positive")
         if self.coefficient_mode not in ("network", "static"):
-            raise ValueError("coefficient_mode must be 'network' or 'static'")
+            raise InvalidInputError("coefficient_mode must be 'network' or 'static'")
 
 
 @dataclass
@@ -239,11 +239,11 @@ class Simulator:
     in one call to its kernel in junctions.KERNELS, then routes bulk and
     tracer flux by the same formula for every row.  Instances hold no
     per-run state and may be shared across runs, but one SimState must
-    only ever be advanced by one thread at a time.  The cell layout, the
-    junction ids, the table and the initial splits are copied from the
-    network when the Simulator is built; states, steps and run results
-    read only those copies, so a later edit of the network changes none
-    of them.
+    only ever be advanced by one thread at a time.  A Simulator keeps no
+    network: the cell layout, the junction ids, the table and the
+    initial splits are copied when it is built, and states, steps, cell
+    centres and run results read only those copies, so a later edit of
+    the network changes none of them.
 
     Work buffers: demand and supply over the cells and the table's
     slots, and the cells' flux differences; only a network with a tracer
@@ -253,8 +253,7 @@ class Simulator:
     def __init__(self, net: Network):
         report = net.validate()
         if report:
-            raise ValueError("invalid network: " + "; ".join(report))
-        self.net = net
+            raise NetworkValidationError(report)
         self.model: FluxModel = net.model
 
         arcs = net.arcs
@@ -264,6 +263,7 @@ class Simulator:
         self.n_cells = n_cells
         self.cell_offsets = np.concatenate([[0], np.cumsum(n_cells)])
         self.total_cells = int(self.cell_offsets[-1])
+        self._arc_a = np.array([a.a for a in arcs])
         self.dx = np.array([a.dx for a in arcs])
         self.dx_cell = np.repeat(self.dx, n_cells)
 
@@ -273,7 +273,7 @@ class Simulator:
         self._arc_last_cell = self.cell_offsets[1:] - 1
         self.arc_last_iface = self.total_cells + np.arange(len(arcs), dtype=np.intp)
 
-        reservoirs = self._build_junction_table()
+        reservoirs = self._build_junction_table(net)
         self.tracer_enabled = bool(self._dyn_ids)
         self._check_interface_cover()
 
@@ -290,7 +290,7 @@ class Simulator:
 
     # -- layout ------------------------------------------------------------
 
-    def _build_junction_table(self) -> list[BoundaryCondition]:
+    def _build_junction_table(self, net: Network) -> list[BoundaryCondition]:
         """Stack every arc end as one row of the junction table.
 
         After the network's junctions comes a one-in/one-out row, with
@@ -311,9 +311,9 @@ class Simulator:
         whose demand, supply and tracer stay 0, and the scratch interface.
         """
         idx = self._arc_index
-        net_juncs = self.net.junctions
-        sources = [idx[a] for a in self.net.source_arc_ids]
-        sinks = [idx[a] for a in self.net.sink_arc_ids]
+        net_juncs = net.junctions
+        sources = [idx[a] for a in net.source_arc_ids]
+        sinks = [idx[a] for a in net.sink_arc_ids]
         # arc n_arcs + s stands for slot total_cells + s
         n_arcs = len(self.arc_ids)
         outlet = n_arcs + 1 + len(sources)
@@ -388,7 +388,7 @@ class Simulator:
         self._dyn_in_iface = self._in_iface[dyn, 0]
         self._dyn_exit_iface = self._out_iface[dyn, exit_col]
         self._dyn_other_iface = self._out_iface[dyn, 1 - exit_col]
-        bc_by_arc = {bc.arc_id: bc for bc in self.net.boundary_conditions}
+        bc_by_arc = {bc.arc_id: bc for bc in net.boundary_conditions}
         return [bc_by_arc[self.arc_ids[k]] for k in sources]
 
     def _check_interface_cover(self):
@@ -420,8 +420,8 @@ class Simulator:
         return state_array[self.cell_offsets[k] : self.cell_offsets[k + 1]]
 
     def cell_centers(self, arc_id: str) -> np.ndarray:
-        arc = self.net.arc(arc_id)
-        return arc.a + (np.arange(arc.n_cells) + 0.5) * arc.dx
+        k = self._arc_index[arc_id]
+        return self._arc_a[k] + (np.arange(self.n_cells[k]) + 0.5) * self.dx[k]
 
     def total_mass(self, state: SimState) -> float:
         return float(np.sum(state.rho * self.dx_cell))
@@ -633,12 +633,12 @@ class Simulator:
         ends at (k + 1) * dt, the last at t_end.  Sample j is the first
         state at or after j * sample_interval, and carries that time
         when a step ends there.  A run of more than MAX_STEPS steps is
-        refused with a ValueError before the first step.
+        refused with an InvalidInputError before the first step.
         """
         dt = self.stable_dt(config.cfl_number)
         if not dt * MAX_STEPS >= config.t_end:  # also when dt underflowed to 0
-            raise ValueError(
-                f"t_end={config.t_end:g} needs more than {MAX_STEPS} steps of dt={dt:.3g}"
+            raise InvalidInputError(
+                f"cannot run: t_end={config.t_end:g} needs more than {MAX_STEPS} steps of dt={dt:.3g}"
             )
         eps = 1e-9 * dt
         n_steps = max(1, math.ceil(config.t_end / dt - 1e-9))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,9 @@ from tagflow.flux import FluxModel
 from tagflow.network import Arc, BoundaryCondition, Junction, Network, build_roundabout
 from tagflow.scenario import write_scenario
 from tagflow.simulate import MAX_STEPS, SimConfig, SimulationError, Simulator
+
+ROOT = Path(__file__).parent.parent
+DEMO = str(ROOT / "demos" / "roundabout.json")
 
 
 @pytest.fixture
@@ -138,6 +145,59 @@ def test_simulation_error_is_runtime_failure(scenario_file, tmp_path, monkeypatc
     assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_RUNTIME_FAILURE
     assert "simulation failed: density left [0, rho_max]" in _one_error_line(capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", [ValueError, KeyError])
+def test_an_engine_fault_is_an_internal_error(scenario_file, tmp_path, monkeypatch, capsys, fault):
+    # a fault of the engine is not the user's invalid input, whatever its type
+    def broken(self, state):
+        raise fault("operands could not be broadcast together")
+
+    monkeypatch.setattr(Simulator, "compute_fluxes", broken)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_RUNTIME_FAILURE
+    err = _one_error_line(capsys.readouterr().err)
+    assert err.startswith(f"internal error: {fault.__name__}: ")
+    assert not out.exists()
+
+
+# a CLI process whose engine raises a KeyError on its first step
+_BROKEN_ENGINE = """
+import sys
+from tagflow.cli import main
+from tagflow.simulate import Simulator
+
+def broken(self, state):
+    raise KeyError("lost")
+
+Simulator.compute_fluxes = broken
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-m", "tagflow.cli", "validate", DEMO], EXIT_OK),
+        (["-m", "tagflow.cli", "validate", "missing.json"], EXIT_INVALID_INPUT),
+        (["-c", _BROKEN_ENGINE, "run", DEMO, "--out", "out"], EXIT_RUNTIME_FAILURE),
+    ],
+    ids=["valid", "missing", "engine-fault"],
+)
+def test_the_shell_sees_the_exit_code(tmp_path, argv, code):
+    done = subprocess.run(
+        [sys.executable, *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if code != EXIT_OK:
+        _one_error_line(done.stderr)
+        assert done.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_roundabout_reports_its_equilibrium_time(tmp_path, capsys):

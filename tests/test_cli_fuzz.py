@@ -1,11 +1,14 @@
-"""Fuzz the exit-code contract of `tagflow validate`.
+"""Fuzz the exit-code contract of `tagflow validate` and `tagflow scenario`.
 
 Mutations of the bundled roundabout scenario (dropped fields, fields
 retyped to a string, a bool, a list, null or any float including nan
 and +-inf, perturbed numbers) must end in exit code 0 or 2, with no
-exception escaping main.
+exception escaping main.  So must any value of the roundabout options,
+and a refusal is one stderr line with nothing on stdout.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -99,3 +102,33 @@ def test_validate_exit_code_contract(scenario_path, mutations):
         _mutate(data, *mutation)
     scenario_path.write_text(json.dumps(data))
     assert main(["validate", str(scenario_path)]) in (EXIT_OK, EXIT_INVALID_INPUT)
+
+
+# argparse reads "--alpha -inf" as a missing argument, so each option is passed as --opt=value
+numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), st.just("1e400"))
+roundabout_options = st.fixed_dictionaries(
+    {},
+    optional={
+        "alpha": numbers,
+        "beta": numbers,
+        "rho1": numbers,
+        "rho2": numbers,
+        "cells": st.integers(-3, 10**21).map(str),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example(options={"alpha": "-inf"})
+@example(options={"rho1": "1e400"})
+@example(options={"cells": str(10**21)})
+@given(options=roundabout_options)
+def test_scenario_options_exit_code_contract(options):
+    argv = ["scenario"] + [f"--{name}={value}" for name, value in options.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_INVALID_INPUT)
+    if code == EXIT_INVALID_INPUT:
+        assert len(err.getvalue().splitlines()) == 1
+        assert out.getvalue() == ""

@@ -10,6 +10,7 @@ from tagflow.network import (
     BoundaryCondition,
     Junction,
     Network,
+    NetworkValidationError,
     build_roundabout,
     equilibrium_coefficients,
     equilibrium_fluxes,
@@ -493,9 +494,10 @@ def test_compute_fluxes_then_apply_is_one_step(name, inplace):
     """Phase 1 then phase 2 by hand is step, bit for bit, splits included."""
     roundabout = name == "roundabout"
     if roundabout:
-        sim = Simulator(build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=10))
+        net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=10)
     else:
-        sim = Simulator(mixed_kind_network())
+        net = mixed_kind_network()
+    sim = Simulator(net)
     stepped = sim.init_state()
     if not roundabout:  # run starts empty, so only the mixed network is seeded
         rng = np.random.default_rng(7)
@@ -517,7 +519,7 @@ def test_compute_fluxes_then_apply_is_one_step(name, inplace):
     if roundabout:
         res = sim.run(SimConfig(t_end=steps * dt))
         assert res.summary["steps"] == steps
-        dynamic = [j.id for j in sim.net.junctions if j.coefficient_mode == "dynamic"]
+        dynamic = [j.id for j in net.junctions if j.coefficient_mode == "dynamic"]
         assert dynamic == ["J2", "J4"]
         for row, jid in enumerate(dynamic):
             assert res.coefficients[jid][-1, :, 0].tobytes() == hand.exit_splits[row].tobytes()
@@ -686,9 +688,8 @@ def test_each_kind_is_solved_in_one_call_per_step(monkeypatch, network):
     assert calls == {kind: 25 if kind in present else 0 for kind in KERNELS}
 
 
-def _tracer_mass_residuals(sim, steps):
+def _tracer_mass_residuals(sim, net, steps):
     """|change of sum(rho * phi * dx) - dt * (tracer in - tracer out)| per step."""
-    net = sim.net
     sources = [
         sim.arc_first_iface[k] for k, a in enumerate(net.arcs) if net.upstream_junction(a.id) is None
     ]
@@ -732,6 +733,13 @@ def test_initial_splits_are_copied_when_built():
     np.testing.assert_array_equal(result.coefficients["J2"][:, :, 0], np.full((result.times.size, 2), 0.5))
 
 
+def test_cell_centers_are_copied_when_built():
+    net = build_diamond_chain(4, 5)
+    sim = Simulator(net)
+    net.arc("T0").b = 2.0
+    np.testing.assert_allclose(sim.cell_centers("T0"), [0.1, 0.3, 0.5, 0.7, 0.9], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "network",
     [mixed_kind_network, lambda: hub_network(16, 4, seed=5, upstream=ladder_network((2, 4, 2)))],
@@ -752,7 +760,7 @@ def test_run_reports_each_junction_in_network_order(network):
 
 def test_tracer_mass_conserved_per_step_on_the_roundabout():
     net = build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=30)
-    assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12
+    assert _tracer_mass_residuals(Simulator(net), net, 600).max() <= 1e-12
 
 
 def _exit_into_general():
@@ -792,14 +800,15 @@ def test_tracer_mass_conserved_per_step_through_a_general_junction():
     # and through every kind at once, the exit's row padded to three outlets
     for net in (_exit_into_general(), mixed_kind_network()):
         assert net.validate() == []
-        assert _tracer_mass_residuals(Simulator(net), 600).max() <= 1e-12
+        assert _tracer_mass_residuals(Simulator(net), net, 600).max() <= 1e-12
 
 
 def test_tracer_mass_conserved_per_step_through_a_padded_general_group():
     # the exit's and the merge's outlets feed a 6x3 hub, which shares the
     # general rows with the 2x2 junction, so tracer crosses the padding
-    sim = Simulator(hub_network(6, 3, seed=2, upstream=_exit_into_general()))
-    assert _tracer_mass_residuals(sim, 300).max() <= 1e-12
+    net = hub_network(6, 3, seed=2, upstream=_exit_into_general())
+    sim = Simulator(net)
+    assert _tracer_mass_residuals(sim, net, 300).max() <= 1e-12
     # no padded write lands on a real interface: the entry of arc A, the
     # first arc, keeps its reservoir's tracer flux
     state = sim.init_state()
@@ -853,6 +862,19 @@ def test_simulator_rejects_invalid_network():
     )
     with pytest.raises(ValueError):
         Simulator(net)
+
+
+def test_simulator_reports_an_invalid_network_as_parse_scenario_does():
+    net = Network(
+        model=UNIT,
+        arcs=[Arc("A", 0.0, 1.0, 5, "generic"), Arc("B", 0.0, -1.0, 0, "circle")],
+        junctions=[Junction("J", ["A"], ["MISSING"], [[0.5]])],
+        boundary_conditions=[BoundaryCondition("A", 0.1)],
+    )
+    with pytest.raises(NetworkValidationError) as info:
+        Simulator(net)
+    assert len(info.value.errors) > 1
+    assert info.value.errors == net.validate()
 
 
 @pytest.mark.parametrize(

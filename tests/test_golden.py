@@ -37,6 +37,13 @@ ROUNDABOUT_STATIC_CSV_SHA256 = {
     "coefficients": "4897177246eeeb4adcc1b8c0b6873849116fab8900c46edc5081653341fe4219",
     "densities": "f96f95cdb139678e3c4353636a67e5ffc4d5971c85ae50a20fbf93c29af25b0f",
 }
+# the bundled roundabout to its own t_end = 100: every state from step
+# 8646 on equals the one before it bit for bit
+ROUNDABOUT_T100_CSV_SHA256 = {
+    "fluxes": "ad7170224f29e21484440cc04c9deefa228bc7d6b0791128bca880c523d4c795",
+    "coefficients": "dffda5e98ba78d837737b7fd7f64827da13ca7bc3dadbff380f39c4b4a98c5cc",
+    "densities": "7a1bc10f644df8161df2801c1c01ba230ac1a0f4b0a80b567f6cf6847794a557",
+}
 # rho.tobytes() (and phi.tobytes() and exit_splits.tobytes() where there
 # is a tracer) after 200 steps (or STEPS[name]) from seeded densities
 STATE_SHA256 = {
@@ -76,9 +83,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def roundabout_csv_hashes(out_dir: Path, coefficient_mode: str = "network") -> dict[str, str]:
+def roundabout_csv_hashes(
+    out_dir: Path, coefficient_mode: str = "network", t_end: float = 20.0
+) -> dict[str, str]:
     net, config = parse_scenario(ROUNDABOUT.read_text())
-    config = dataclasses.replace(config, t_end=20.0, coefficient_mode=coefficient_mode)
+    config = dataclasses.replace(config, t_end=t_end, coefficient_mode=coefficient_mode)
     result = Simulator(net).run(config)
     paths = write_timeseries(result, out_dir)
     return {name: _sha256(paths[name].read_bytes()) for name in ROUNDABOUT_CSV_SHA256}
@@ -104,6 +113,10 @@ def test_roundabout_csvs_are_bit_identical(tmp_path):
 
 def test_static_roundabout_csvs_are_bit_identical(tmp_path):
     assert roundabout_csv_hashes(tmp_path, "static") == ROUNDABOUT_STATIC_CSV_SHA256
+
+
+def test_roundabout_csvs_past_its_fixed_point_are_bit_identical(tmp_path):
+    assert roundabout_csv_hashes(tmp_path, t_end=100.0) == ROUNDABOUT_T100_CSV_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(STATE_SHA256))

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .bench import run_bench
-from .network import InvalidInputError, build_roundabout
+from .network import InvalidInputError, NetworkValidationError, build_roundabout
 from .output import write_timeseries
 from .scenario import parse_scenario, write_scenario
 from .simulate import SimConfig, SimulationError, Simulator
@@ -102,6 +102,10 @@ def _report_run(result) -> None:
         print("equilibrium: not detected")
     else:
         print(f"equilibrium: t >= {s['equilibrium_time']:g}")
+    if s["fixed_point_time"] is None:
+        print("state never stood still")
+    else:
+        print(f"state still from t = {s['fixed_point_time']:g}")
     print(f"mass balance residual: {s['mass_residual']:.3e}")
     print(f"wall time: {s['wall_time_s']:.3f} s")
 
@@ -150,7 +154,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    sys.stdout.write(write_scenario(_build_roundabout(args)))
+    net = _build_roundabout(args)
+    report = net.validate()
+    if report:
+        raise NetworkValidationError(report)
+    sys.stdout.write(write_scenario(net))
     return EXIT_OK
 
 

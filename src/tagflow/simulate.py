@@ -230,6 +230,14 @@ def detect_equilibrium(
     return float(times[first])
 
 
+def _state_bytes(state: SimState) -> list[bytes]:
+    """The state's arrays as raw bytes, equal exactly when their bits are.
+
+    So -0.0 differs from 0.0, and NaN equals the same NaN.
+    """
+    return [a.tobytes() for a in (state.rho, state.phi, state.exit_splits) if a is not None]
+
+
 class Simulator:
     """Stepping engine bound to one validated network.
 
@@ -634,6 +642,20 @@ class Simulator:
         state at or after j * sample_interval, and carries that time
         when a step ends there.  A run of more than MAX_STEPS steps is
         refused with an InvalidInputError before the first step.
+
+        compute_fluxes reads only the state: the reservoir slots and the
+        tables are fixed when the Simulator is built, and every work
+        buffer is rewritten from the state each step.  With dt fixed, a
+        full step that leaves rho, phi and the exit splits (in static
+        mode once the initial splits are put back) bit for bit as they
+        were returns that same snapshot and state forever after.  The
+        step that follows each sample is checked for this; once it
+        holds, every later full step reuses the last snapshot and keeps
+        only its bookkeeping: the clock, the samples, the arrival check,
+        the boundary integral and the step count.  A short last step is
+        computed.  summary["fixed_point_time"] is the time of that
+        sample, or None.  A boundary condition that varies in time
+        breaks the premise and must end the replay.
         """
         dt = self.stable_dt(config.cfl_number)
         if not dt * MAX_STEPS >= config.t_end:  # also when dt underflowed to 0
@@ -660,6 +682,7 @@ class Simulator:
 
         mass_start = self.total_mass(state)
         boundary_integral = 0.0
+        fixed_point_time = None  # of the first sample a full step left as it was
         next_sample = 0  # j of the next sample time j * sample_interval
         wall_start = _time.perf_counter()
 
@@ -673,16 +696,25 @@ class Simulator:
                     tracer_rows.append(state.phi.copy())
 
         for k in range(n_steps):
-            snap = self.compute_fluxes(state)
-            due = next_sample * config.sample_interval
-            if state.time >= due - eps:
-                record(snap, due if state.time <= due + eps else state.time)
-                next_sample = math.floor((state.time + eps) / config.sample_interval) + 1
             last = k == n_steps - 1
             step_dt = last_dt if last else dt
-            self.apply(state, snap, step_dt, inplace=True)
-            if not update:
-                state.exit_splits[:] = initial_splits
+            replay = fixed_point_time is not None and step_dt == dt
+            if not replay:
+                snap = self.compute_fluxes(state)
+            due = next_sample * config.sample_interval
+            sampled = state.time >= due - eps
+            if sampled:
+                record(snap, due if state.time <= due + eps else state.time)
+                next_sample = math.floor((state.time + eps) / config.sample_interval) + 1
+            if replay:
+                state.step_count += 1
+            else:
+                held = _state_bytes(state) if sampled and step_dt == dt else None
+                self.apply(state, snap, step_dt, inplace=True)
+                if not update:
+                    state.exit_splits[:] = initial_splits
+                if held is not None and _state_bytes(state) == held:
+                    fixed_point_time = times[-1]
             state.time = config.t_end if last else (k + 1) * dt
             if waiting:
                 new = ~arrived & (snap.fluxes[self._dyn_in_iface] >= EPS_FLUX)
@@ -718,6 +750,7 @@ class Simulator:
             "steps": state.step_count,
             "cells": self.total_cells,
             "equilibrium_time": equilibrium_time,
+            "fixed_point_time": fixed_point_time,
             "final_fluxes": final_fluxes,
             "mass_residual": mass_residual,
             "wall_time_s": wall,

@@ -1,6 +1,8 @@
 """Shared generators and oracles for the test suite."""
 
 import json
+import math
+import time as _time
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,8 +10,17 @@ import numpy as np
 
 from tagflow.flux import FluxModel
 from tagflow.junctions import JunctionProblem
-from tagflow.network import Arc, BoundaryCondition, Junction, Network
-from tagflow.simulate import TRACER_PLACEHOLDER, RunResult, Simulator
+from tagflow.network import Arc, BoundaryCondition, InvalidInputError, Junction, Network
+from tagflow.simulate import (
+    EPS_FLUX,
+    MAX_STEPS,
+    TRACER_PLACEHOLDER,
+    FluxSnapshot,
+    RunResult,
+    SimConfig,
+    Simulator,
+    detect_equilibrium,
+)
 
 
 def single_arc_network(model: FluxModel, n_cells: int, rho_left: float) -> Network:
@@ -343,3 +354,115 @@ def reference_write_timeseries(result: RunResult, destination: str | Path) -> di
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths
+
+
+def reference_run(self: Simulator, config: SimConfig) -> RunResult:
+    """Simulator.run without the replay of still states.
+
+    Every step calls compute_fluxes and apply, and the body is otherwise
+    Simulator.run's line for line, so tests can hold run to it bit for
+    bit.  It must not follow later edits of run.
+    """
+    dt = self.stable_dt(config.cfl_number)
+    if not dt * MAX_STEPS >= config.t_end:  # also when dt underflowed to 0
+        raise InvalidInputError(
+            f"cannot run: t_end={config.t_end:g} needs more than {MAX_STEPS} steps of dt={dt:.3g}"
+        )
+    eps = 1e-9 * dt
+    n_steps = max(1, math.ceil(config.t_end / dt - 1e-9))
+    last_dt = config.t_end - (n_steps - 1) * dt  # short when t_end is off the step grid
+    last_dt = dt if last_dt >= dt - eps else last_dt
+    update = config.coefficient_mode != "static"
+    state = self.init_state()
+    initial_splits = state.exit_splits.copy()
+
+    times: list[float] = []
+    flux_rows: list[np.ndarray] = []
+    split_rows: list[np.ndarray] = []
+    density_rows: list[np.ndarray] = []
+    tracer_rows: list[np.ndarray] = []
+    arrived = np.zeros(len(self._dyn_ids), dtype=bool)
+    arrival_time = np.zeros(arrived.size)
+    arrival_split = np.zeros((arrived.size, 2))
+    waiting = update and arrived.size > 0
+
+    mass_start = self.total_mass(state)
+    boundary_integral = 0.0
+    next_sample = 0  # j of the next sample time j * sample_interval
+    wall_start = _time.perf_counter()
+
+    def record(snap: FluxSnapshot, t: float):
+        times.append(t)
+        flux_rows.append(self.arc_boundary_fluxes(snap))
+        split_rows.append(state.exit_splits.copy())
+        if config.record_profiles:
+            density_rows.append(state.rho.copy())
+            if state.phi is not None:
+                tracer_rows.append(state.phi.copy())
+
+    for k in range(n_steps):
+        snap = self.compute_fluxes(state)
+        due = next_sample * config.sample_interval
+        if state.time >= due - eps:
+            record(snap, due if state.time <= due + eps else state.time)
+            next_sample = math.floor((state.time + eps) / config.sample_interval) + 1
+        last = k == n_steps - 1
+        step_dt = last_dt if last else dt
+        self.apply(state, snap, step_dt, inplace=True)
+        if not update:
+            state.exit_splits[:] = initial_splits
+        state.time = config.t_end if last else (k + 1) * dt
+        if waiting:
+            new = ~arrived & (snap.fluxes[self._dyn_in_iface] >= EPS_FLUX)
+            arrival_time[new] = state.time
+            arrival_split[new] = state.exit_splits[new]
+            arrived |= new
+            waiting = not arrived.all()
+        boundary_integral += step_dt * (snap.inflow_total - snap.outflow_total)
+    record(self.compute_fluxes(state), state.time)
+
+    wall = _time.perf_counter() - wall_start
+    mass_residual = abs(self.total_mass(state) - mass_start - boundary_integral)
+
+    times_arr = np.asarray(times)
+    flux_arr = np.asarray(flux_rows)
+    equilibrium_time = detect_equilibrium(
+        times_arr, flux_arr, config.equilibrium_window, config.equilibrium_tol
+    )
+    final_fluxes = {
+        arc_id: float(flux_arr[-1, k]) for k, arc_id in enumerate(self.arc_ids)
+    }
+    junction_arcs, coefficients = self._stepped_junctions(len(times))
+    splits = np.asarray(split_rows)
+    for k, jid in enumerate(self._dyn_ids):
+        coefficients[jid] = splits[:, k, :, None].copy()
+    first_arrival = {
+        jid: (float(arrival_time[k]), arrival_split[k].copy())
+        for k, jid in enumerate(self._dyn_ids)
+        if arrived[k]
+    }
+    summary = {
+        "t_end": state.time,
+        "steps": state.step_count,
+        "cells": self.total_cells,
+        "equilibrium_time": equilibrium_time,
+        "final_fluxes": final_fluxes,
+        "mass_residual": mass_residual,
+        "wall_time_s": wall,
+        "cell_updates_per_s": state.step_count * self.total_cells / wall
+        if wall > 0
+        else float("inf"),
+    }
+    return RunResult(
+        arc_ids=list(self.arc_ids),
+        cells_per_arc=dict(zip(self.arc_ids, self.n_cells.tolist())),
+        junction_arcs=junction_arcs,
+        times=times_arr,
+        arc_fluxes=flux_arr,
+        coefficients=coefficients,
+        density=np.asarray(density_rows) if density_rows else None,
+        tracer=np.asarray(tracer_rows) if tracer_rows else None,
+        first_arrival_coefficients=first_arrival,
+        equilibrium_time=equilibrium_time,
+        summary=summary,
+    )

@@ -136,6 +136,14 @@ def test_scenario_rejects_bad_alpha(capsys):
     assert out == ""
 
 
+def test_scenario_refuses_a_network_that_validate_would_refuse(capsys):
+    # tagflow validate refuses this network, so tagflow scenario must not print it
+    assert main(["scenario", "--cells", str(10**21)]) == EXIT_INVALID_INPUT
+    out, err = capsys.readouterr()
+    assert _one_error_line(err) == "network has 8000000000000000000000 cells, more than an array can index\n"
+    assert out == ""
+
+
 def test_simulation_error_is_runtime_failure(scenario_file, tmp_path, monkeypatch, capsys):
     def blow_up(self, config):
         raise SimulationError("density left [0, rho_max]")
@@ -204,6 +212,17 @@ def test_roundabout_reports_its_equilibrium_time(tmp_path, capsys):
     code = main(["roundabout", "--cells", "10", "--t-end", "30", "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
     assert "equilibrium: t >= 12\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "cells, t_end, line",
+    [("3", "300", "state still from t = 205\n"), ("10", "30", "state never stood still\n")],
+    ids=["still", "moving"],
+)
+def test_roundabout_reports_when_its_state_stood_still(tmp_path, capsys, cells, t_end, line):
+    code = main(["roundabout", "--cells", cells, "--t-end", t_end, "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert line in capsys.readouterr().out
 
 
 def test_roundabout_static_flag(tmp_path):

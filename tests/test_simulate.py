@@ -31,7 +31,9 @@ from helpers import (
     ladder_network,
     mixed_kind_network,
     random_network,
+    reference_run,
     riemann_l1_error,
+    ring_network,
     single_arc_network,
 )
 
@@ -584,6 +586,70 @@ def test_off_grid_t_end_takes_one_short_last_step():
     assert res.summary["steps"] == 11
     assert res.summary["t_end"] == 10.5 * dt
     assert res.summary["mass_residual"] <= 1e-12
+
+
+def _small_roundabout():
+    # 3 cells per arc, dt = 1/6: the dynamic run stands still from
+    # t = 205 and the static one from t = 194.5
+    return build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=3)
+
+
+# name -> (network, config, whether the run reaches a still state)
+REPLAY_CASES = {
+    "still": (_small_roundabout, SimConfig(t_end=300.0), True),
+    "off-grid": (_small_roundabout, SimConfig(t_end=299.9), True),
+    "static": (_small_roundabout, SimConfig(t_end=300.0, coefficient_mode="static"), True),
+    "no-profiles": (_small_roundabout, SimConfig(t_end=300.0, record_profiles=False), True),
+    "every-step-sampled": (_small_roundabout, SimConfig(t_end=300.0, sample_interval=0.1), True),
+    "no-tracer": (lambda: single_arc_network(UNIT, 10, 0.3), SimConfig(t_end=20.0), True),
+    "still-from-the-start": (ring_network, SimConfig(t_end=20.0), True),
+    "moving": (_small_roundabout, SimConfig(t_end=30.0), False),
+}
+
+
+def _run_bits(res):
+    """Everything a run reports but its clock readings, arrays as bytes."""
+    arrays = {"times": res.times, "arc_fluxes": res.arc_fluxes, "density": res.density, "tracer": res.tracer}
+    arrays.update({f"coefficients {j}": m for j, m in res.coefficients.items()})
+    arrays.update({f"first arrival {j}": c for j, (_, c) in res.first_arrival_coefficients.items()})
+    bits = {k: None if a is None else (a.shape, a.tobytes()) for k, a in arrays.items()}
+    bits["first arrival times"] = {j: t for j, (t, _) in res.first_arrival_coefficients.items()}
+    bits["layout"] = (res.arc_ids, res.cells_per_arc, res.junction_arcs, res.equilibrium_time)
+    clock = ("wall_time_s", "cell_updates_per_s", "fixed_point_time")
+    bits["summary"] = {k: v for k, v in res.summary.items() if k not in clock}
+    return bits
+
+
+@pytest.mark.parametrize("name", list(REPLAY_CASES))
+def test_run_replays_a_still_state_bit_for_bit(name, monkeypatch):
+    make, config, settles = REPLAY_CASES[name]
+    want = reference_run(Simulator(make()), config)
+
+    calls = []
+    compute = Simulator.compute_fluxes
+    monkeypatch.setattr(Simulator, "compute_fluxes", lambda self, state: calls.append(1) or compute(self, state))
+    sim = Simulator(make())
+    got = sim.run(config)
+    assert _run_bits(got) == _run_bits(want)
+
+    fixed = got.summary["fixed_point_time"]
+    steps = got.summary["steps"]
+    assert (fixed is not None) == settles
+    if fixed is None:
+        computed = steps
+    else:
+        # the state at that sample and every later one is the same
+        j = got.times.tolist().index(fixed)
+        assert np.all(want.arc_fluxes[j:] == want.arc_fluxes[j])
+        if want.density is not None:
+            assert np.all(want.density[j:] == want.density[j])
+        # only the steps up to the one that proved it and a short last
+        # step are computed
+        dt = sim.stable_dt(config.cfl_number)
+        short = config.t_end != steps * dt
+        computed = round(fixed / dt) + 1 + short
+    # and once more for the closing sample
+    assert len(calls) == computed + 1
 
 
 def test_merge_within_column_tolerance_skips_the_lp(monkeypatch):

@@ -38,13 +38,11 @@ class BenchReport:
         return self.mass_residual <= self.mass_tolerance
 
 
-def build_diamond_chain(
-    n_arcs: int, cells_per_arc: int, model: FluxModel | None = None
-) -> Network:
+def build_diamond_chain(n_arcs: int, cells_per_arc: int) -> Network:
     """Chain of diamonds with at least n_arcs arcs (3 per diamond + 1)."""
     if n_arcs < 1 or cells_per_arc < 1:
         raise InvalidInputError("arc and cell counts must be positive")
-    model = model or FluxModel()
+    model = FluxModel()
     n_diamonds = max(1, (n_arcs - 1 + 2) // 3)  # round up to cover the request
 
     def arc(arc_id: str, kind: str = "generic") -> Arc:

@@ -21,8 +21,8 @@ kernel(demands (B, n_in), supplies (B, n_out), routing (B, n_out,
 n_in)) -> admitted flux (B, n_in), incoming columns in priority order.
 An incoming arc with zero demand, or an outgoing one with a zero
 routing row, changes no junction's answer, so junctions may be padded.
-_lp_solve, which runs scipy's linprog, and brute_force_solve are
-reference oracles for the tests; no simulation calls them.
+brute_force_solve is a reference oracle for the tests and demos; no
+simulation calls it, nor linprog, the tests' LP reference.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ _FEAS_TOL = 1e-12
 _TIE_TOL = 1e-9
 # Tableau entries this small are zero in the simplex's ratio test.
 _PIVOT_TOL = 1e-12
-# Throughput the LP oracle may give up, relative to max(1, best
-# total), for a better right-of-way outcome.
-_TOTAL_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,19 +114,6 @@ class JunctionFluxSolution:
 def priority_order(priority: np.ndarray) -> list[int]:
     """Incoming-arc indices in descending priority, position breaking ties."""
     return sorted(range(len(priority)), key=lambda i: (-priority[i], i))
-
-
-def _finish(p: JunctionProblem, gamma: np.ndarray) -> JunctionFluxSolution:
-    gamma = np.clip(gamma, 0.0, p.demands)
-    # LP paths work at solver tolerance; scale any hair of supply
-    # violation out so gamma_out always respects the caps
-    routed = p.distribution @ gamma
-    over = routed > p.supplies
-    if np.any(over):
-        positive = routed[over] > 0.0
-        if np.any(positive):
-            gamma = gamma * np.min(p.supplies[over][positive] / routed[over][positive])
-    return JunctionFluxSolution(gamma_in=gamma, gamma_out=p.distribution @ gamma)
 
 
 def classify(distribution: np.ndarray) -> str:
@@ -302,61 +286,18 @@ def solve(p: JunctionProblem) -> JunctionFluxSolution:
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first call.
 
-    Only the _lp_solve oracle calls it, so a simulation never imports
-    scipy.
+    Only the tests' LP reference calls it, so a simulation never
+    imports scipy.
     """
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
 
 
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
-
-
-def _lp_solve(p: JunctionProblem) -> JunctionFluxSolution:
-    """LP for the total, then lexicographic maximization in priority order.
-
-    The reference the tests hold general to; a RuntimeError says that
-    HiGHS failed on one of the stages.
-    """
-    bounds = [(0.0, d) for d in p.demands]
-    res = linprog(
-        -np.ones(p.n_in),
-        A_ub=p.distribution,
-        b_ub=p.supplies,
-        bounds=bounds,
-        options=_LP_OPTIONS,
-    )
-    if not res.success:
-        raise RuntimeError(f"junction LP failed: {res.message}")
-    best_total = -res.fun
-
-    slack = _TOTAL_SLACK * max(1.0, best_total)
-    total_row = -np.ones((1, p.n_in))  # total >= best_total - slack
-    a_ub = np.vstack([p.distribution, total_row])
-    b_ub = np.concatenate([p.supplies, [-(best_total - slack)]])
-    gamma = np.zeros(p.n_in)
-    for i in priority_order(p.priority):
-        c = np.zeros(p.n_in)
-        c[i] = -1.0
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=_LP_OPTIONS)
-        if not res.success:
-            raise RuntimeError(f"junction LP refinement failed: {res.message}")
-        gamma = res.x
-        # pin as a slightly relaxed lower bound; an exact pin can render
-        # the next stage infeasible at solver precision
-        bounds[i] = (max(0.0, gamma[i] - 1e-9), p.demands[i])
-    return _finish(p, gamma)
-
-
 def _axis_grid(d: float, step: float) -> np.ndarray:
-    pts = np.arange(0.0, d + 0.5 * step, step)
-    if pts.size == 0 or pts[-1] < d - 1e-15:
-        pts = np.append(pts, d)
-    return pts
+    """0, step, 2 step, ... below d, then d itself."""
+    pts = np.arange(0.0, d, step)
+    return np.append(pts[pts < d], d)
 
 
 def brute_force_solve(p: JunctionProblem, grid_step: float = 1e-3) -> JunctionFluxSolution:
@@ -398,9 +339,6 @@ def brute_force_solve(p: JunctionProblem, grid_step: float = 1e-3) -> JunctionFl
     feasible &= tails >= -_FEAS_TOL
     tails = np.maximum(tails, 0.0)
 
-    if not np.any(feasible):
-        return _finish(p, np.zeros(p.n_in))
-
     totals = heads.sum(axis=1) + tails
     totals[~feasible] = -np.inf
     best = totals.max()
@@ -408,5 +346,5 @@ def brute_force_solve(p: JunctionProblem, grid_step: float = 1e-3) -> JunctionFl
 
     order = priority_order(p.priority)
     candidates = np.column_stack([heads, tails])[ties]
-    ranked = max(range(len(ties)), key=lambda k: tuple(candidates[k, order]))
-    return _finish(p, candidates[ranked])
+    gamma = candidates[max(range(len(ties)), key=lambda k: tuple(candidates[k, order]))]
+    return JunctionFluxSolution(gamma_in=gamma, gamma_out=p.distribution @ gamma)

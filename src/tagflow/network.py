@@ -82,10 +82,6 @@ class Arc:
     kind: str = "generic"
 
     @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    @property
     def dx(self) -> float:
         return (self.b - self.a) / self.n_cells
 
@@ -329,7 +325,6 @@ def build_roundabout(
     rho_bar_1: float,
     rho_bar_2: float,
     cells_per_arc: int = 50,
-    model: FluxModel | None = None,
 ) -> Network:
     """Two-entry/two-exit circle with dynamic exit splits.
 
@@ -340,7 +335,7 @@ def build_roundabout(
     and S2 are fed at the given constant densities, which must stay in
     the free-flow range [0, sigma].
     """
-    model = model or FluxModel()
+    model = FluxModel()
     _check_fraction("alpha", alpha)
     _check_fraction("beta", beta)
     for name, rho in (("rho_bar_1", rho_bar_1), ("rho_bar_2", rho_bar_2)):

@@ -169,9 +169,6 @@ class RunResult:
     equilibrium_time: float | None
     summary: dict
 
-    def flux_of(self, arc_id: str) -> np.ndarray:
-        return self.arc_fluxes[:, self.arc_ids.index(arc_id)]
-
 
 def dynamic_exit_coefficients(
     junction: Junction,
@@ -277,12 +274,11 @@ class Simulator:
 
         # interface c is cell c's left face; total_cells + k ends arc k
         self.total_ifaces = self.total_cells + len(arcs)
-        self.arc_first_iface = self._arc_first_cell = self.cell_offsets[:-1]
+        self.arc_first_iface = self.cell_offsets[:-1]
         self._arc_last_cell = self.cell_offsets[1:] - 1
         self.arc_last_iface = self.total_cells + np.arange(len(arcs), dtype=np.intp)
 
         reservoirs = self._build_junction_table(net)
-        self.tracer_enabled = bool(self._dyn_ids)
         self._check_interface_cover()
 
         # work buffers for the hot path; these make compute_fluxes/apply
@@ -292,7 +288,7 @@ class Simulator:
         self._D = np.concatenate([head, [self.model.demand(bc.rho_bar) for bc in reservoirs], [0.0]])
         self._S = np.concatenate([head, np.zeros(len(reservoirs)), [np.inf]])
         tracer = [bc.tracer_in for bc in reservoirs]
-        self._phi = np.concatenate([head, tracer, [0.0]]) if self.tracer_enabled else None
+        self._phi = np.concatenate([head, tracer, [0.0]]) if self._dyn_ids else None
         self._work = np.empty(self.total_cells)
         self._lam_cache: tuple[float | None, np.ndarray | None] = (None, None)
 
@@ -348,7 +344,7 @@ class Simulator:
         scratch = np.full(slots.size, self.total_ifaces)
         self._in_cell = np.concatenate([self._arc_last_cell, slots])[in_arcs]
         self._in_iface = np.concatenate([self.arc_last_iface, scratch])[in_arcs]
-        self._out_cell = np.concatenate([self._arc_first_cell, slots])[out_arcs]
+        self._out_cell = np.concatenate([self.arc_first_iface, slots])[out_arcs]
         self._out_iface = np.concatenate([self.arc_first_iface, scratch])[out_arcs]
 
         # every valid network has a row: an arc is fed by a junction or a reservoir
@@ -413,7 +409,7 @@ class Simulator:
 
     def init_state(self) -> SimState:
         """Empty network at t = 0 with the junctions' initial splits."""
-        phi = np.full(self.total_cells, TRACER_PLACEHOLDER) if self.tracer_enabled else None
+        phi = np.full(self.total_cells, TRACER_PLACEHOLDER) if self._dyn_ids else None
         return SimState(
             time=0.0,
             step_count=0,
@@ -438,8 +434,6 @@ class Simulator:
         """cfl * min cell width / max wave speed."""
         if not 0.0 < cfl_number <= 1.0:
             raise ValueError("cfl_number must lie in (0, 1]")
-        if self.total_cells == 0:
-            raise ValueError("network has no cells")
         return cfl_number * float(np.min(self.dx)) / self.model.max_wave_speed
 
     # -- phase 1 -----------------------------------------------------------

@@ -11,13 +11,10 @@ from scipy import sparse
 
 from tagflow import junctions
 from tagflow.junctions import (
-    _LP_OPTIONS,
-    _TOTAL_SLACK,
     KERNELS,
     JunctionFluxSolution,
     JunctionProblem,
-    _finish,
-    _lp_solve,
+    _axis_grid,
     brute_force_solve,
     classify,
     diverge,
@@ -124,6 +121,37 @@ def test_brute_force_rejects_many_incoming():
         brute_force_solve(
             make([0.1] * 4, [0.3], [[1.0] * 4]), grid_step=0.1
         )
+
+
+def test_brute_force_rejects_a_step_that_is_not_positive():
+    with pytest.raises(ValueError, match="grid_step must be positive"):
+        brute_force_solve(make([0.1, 0.1], [0.3], [[1.0, 1.0]]), grid_step=0.0)
+
+
+def test_problem_rejects_a_nan_demand():
+    with pytest.raises(ValueError, match="demands must be finite"):
+        make([np.nan], [0.3], [[1.0]])
+
+
+def test_brute_force_grid_stops_at_the_demand():
+    # a grid point of 0.002 past the demand 0.0019, clipped only after
+    # the search scored it, would cost 1e-4 of the total
+    for d in (0.0019, 0.0016, 0.002, 0.3, 0.0):
+        grid = _axis_grid(d, 1e-3)
+        assert grid.max() == d and np.all(np.diff(grid) > 0.0)
+    p = make([0.0019, 0.5], [0.3], [[1.0, 1.0]], priority=[0.9, 0.1])
+    sol = brute_force_solve(p)
+    assert sol.objective == pytest.approx(solve(p).objective, abs=1e-15)
+    np.testing.assert_allclose(sol.gamma_in, [0.0019, 0.2981], atol=1e-15)
+
+
+def test_brute_force_keeps_a_junction_a_hair_over_a_zero_supply():
+    # the best candidate routes 2e-15 into the zero supply, within the
+    # feasibility slack; scaling that out would zero both arcs
+    p = make([0.2, 0.2], [0.25, 0.0], [[1.0 - 1e-14, 1.0], [1e-14, 0.0]])
+    sol = brute_force_solve(p)
+    np.testing.assert_allclose(sol.gamma_in, [0.2, 0.05], atol=1e-14)
+    assert sol.objective == pytest.approx(solve(p).objective, abs=1e-14)
 
 
 def test_random_two_by_two_within_one_grid_step():
@@ -283,18 +311,40 @@ def _general_batch(rng, n_in, n_out, size):
     return demands, supplies, distribution, priority
 
 
-# _lp_solve pins each settled arc 1e-9 below its value before the next
+# The LP reference: HiGHS maximizes the total, then each incoming arc
+# in priority order with the total held within _TOTAL_SLACK of its best.
+_LP_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
+# Throughput the LP oracle may give up, relative to max(1, best
+# total), for a better right-of-way outcome.
+_TOTAL_SLACK = 1e-8
+# the LP pins each settled arc 1e-9 below its value before the next
 # stage, so its answer may sit that far, plus rounding, from the optimum
 _LP_PIN = 1e-9 + 1e-15
 
 
+def _finish(p: JunctionProblem, gamma: np.ndarray) -> JunctionFluxSolution:
+    gamma = np.clip(gamma, 0.0, p.demands)
+    # LP paths work at solver tolerance; scale any hair of supply
+    # violation out so gamma_out always respects the caps
+    routed = p.distribution @ gamma
+    over = routed > p.supplies
+    if np.any(over):
+        positive = routed[over] > 0.0
+        if np.any(positive):
+            gamma = gamma * np.min(p.supplies[over][positive] / routed[over][positive])
+    return JunctionFluxSolution(gamma_in=gamma, gamma_out=p.distribution @ gamma)
+
+
 def _block_lp(demands, supplies, distribution, priority):
-    """_lp_solve's stages for many problems at once, before _finish.
+    """The LP reference's stages for many problems at once, before _finish.
 
     The problems are the blocks of one block-diagonal LP.  Maximizing
     the sum of all totals maximizes each block's total, and each later
     stage maximizes the sum of every block's arc of that rank, pinning
-    it as _lp_solve does.  A RuntimeError says that HiGHS failed.
+    it 1e-9 low.  A RuntimeError says that HiGHS failed.
     """
     n, n_in = demands.shape
     routing = sparse.block_diag(list(distribution), format="csr")
@@ -319,29 +369,28 @@ def _block_lp(demands, supplies, distribution, priority):
 
 
 def _lp_oracle(demands, supplies, distribution, priority, chunk=100):
-    """gamma_in of _lp_solve for every problem, a chunk per block LP.
+    """The LP reference's gamma_in for every problem, a chunk per block LP.
 
     HiGHS fails on some large block LPs that it solves one problem at
     a time, so a chunk it fails on is solved one problem at a time.  A
     problem it fails on alone gets a row of NaN.
     """
+
+    def finished(part):
+        raw = _block_lp(demands[part], supplies[part], distribution[part], priority[part])
+        args = zip(demands[part], supplies[part], distribution[part], priority[part])
+        return [_finish(JunctionProblem(*a), g).gamma_in for a, g in zip(args, raw)]
+
     gamma = np.empty_like(demands)
     for start in range(0, len(demands), chunk):
-        part = slice(start, start + chunk)
-        problems = [
-            JunctionProblem(*args)
-            for args in zip(demands[part], supplies[part], distribution[part], priority[part])
-        ]
         try:
-            raw = _block_lp(demands[part], supplies[part], distribution[part], priority[part])
+            gamma[start : start + chunk] = finished(slice(start, start + chunk))
         except RuntimeError:
-            for row, p in enumerate(problems, start):
+            for row in range(start, min(start + chunk, len(demands))):
                 try:
-                    gamma[row] = _lp_solve(p).gamma_in
+                    gamma[row] = finished(slice(row, row + 1))[0]
                 except RuntimeError:
                     gamma[row] = np.nan
-        else:
-            gamma[part] = [_finish(p, g).gamma_in for p, g in zip(problems, raw)]
     return gamma
 
 
@@ -404,8 +453,8 @@ def test_general_kernel_against_the_lp_past_three_incoming_arcs():
 
 
 def test_sixteen_incoming_arcs_where_the_lp_refinement_fails():
-    # HiGHS calls a refinement stage of this problem infeasible, so
-    # _lp_solve raises on it; general must solve it all the same
+    # HiGHS calls a refinement stage of this problem infeasible, so the
+    # LP reference fails on it; general must solve it all the same
     demands, supplies, distribution, priority = _general_batch(np.random.default_rng(233), 16, 4, 1)
     order = priority_order(priority[0])
     d, s, a = demands[0, order], supplies[0], distribution[0][:, order]

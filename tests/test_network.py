@@ -159,6 +159,11 @@ def test_equilibrium_fluxes_zero_inflow_and_global_conservation():
         assert fluxes["S3"] + fluxes["S4"] == pytest.approx(f1 + f2, abs=1e-12)
 
 
+def test_equilibrium_fluxes_reject_a_negative_entry_flux():
+    with pytest.raises(ValueError, match="entry fluxes must be non-negative"):
+        equilibrium_fluxes(0.5, 0.5, 0.1, -0.1)
+
+
 def test_equilibrium_coefficients_consistent_with_fluxes():
     rng = np.random.default_rng(9)
     for _ in range(30):

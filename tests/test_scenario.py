@@ -109,10 +109,22 @@ def test_dangling_arc_reference_is_network_invalid(roundabout_text):
 
 
 def test_config_domain_errors_are_schema_errors(roundabout_text):
-    data = json.loads(roundabout_text)
-    data["config"]["cfl_number"] = 1.5
-    with pytest.raises(ScenarioSchemaError):
-        parse_scenario(json.dumps(data))
+    # every value SimConfig refuses, so parse_scenario needs no guard of its own
+    for field, value in [
+        ("cfl_number", 0),
+        ("cfl_number", 1.5),
+        ("t_end", 0),
+        ("sample_interval", 0),
+        ("equilibrium_window", 0),
+        ("equilibrium_tol", 0),
+        ("coefficient_mode", "sometimes"),
+    ]:
+        data = json.loads(roundabout_text)
+        data["config"][field] = value
+        with pytest.raises(ScenarioSchemaError) as excinfo:
+            parse_scenario(json.dumps(data))
+        assert len(excinfo.value.errors) == 1, field
+        assert excinfo.value.errors[0].startswith(f"config.{field}:"), field
 
 
 def test_bundled_roundabout_scenario_parses():

@@ -8,6 +8,7 @@ from tagflow.junctions import KERNELS, classify, priority_order
 from tagflow.network import (
     Arc,
     BoundaryCondition,
+    InvalidInputError,
     Junction,
     Network,
     NetworkValidationError,
@@ -165,6 +166,18 @@ def test_dynamic_exit_coefficients_rejects_non_exit_junction():
     net = build_roundabout(0.3, 0.5, 0.1, 0.1)
     with pytest.raises(ValueError):
         dynamic_exit_coefficients(net.junction("J1"), 0.1, 0.5, np.array([1.0]))
+
+
+def test_dynamic_exit_coefficients_rejects_two_incoming_arcs():
+    j2 = build_roundabout(0.3, 0.5, 0.1, 0.1).junction("J2")
+    j2.incoming = ["S1C", "S1"]
+    with pytest.raises(ValueError, match="junction J2 must have 1 incoming and 2 outgoing arcs"):
+        dynamic_exit_coefficients(j2, 0.1, 0.5, np.array([0.5, 0.5]))
+
+
+def test_sim_config_rejects_an_unknown_coefficient_mode():
+    with pytest.raises(InvalidInputError, match="coefficient_mode must be 'network' or 'static'"):
+        SimConfig(coefficient_mode="x")
 
 
 def test_roundabout_converges_to_equilibrium(roundabout_run):

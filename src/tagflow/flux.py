@@ -56,12 +56,14 @@ class FluxModel:
         return self.v_max
 
     def _speed(self, r):
-        """Velocity v_max - (v_max / rho_max) * r at clamped densities r.
+        """Velocity (rho_max - r) * (v_max / rho_max) at clamped densities r.
 
-        The operations are those demand_and_supply performs in place, so
-        the two agree bit for bit on every model.
+        Exactly 0 at r = rho_max, so supply and flux vanish at jam
+        density on every model.  The operations are those
+        demand_and_supply performs in place, so the two agree bit for
+        bit on every model.
         """
-        return r * -(self.v_max / self.rho_max) + self.v_max
+        return (self.rho_max - r) * (self.v_max / self.rho_max)
 
     def velocity(self, rho):
         """Appearance velocity v_max * (1 - rho / rho_max)."""
@@ -101,11 +103,11 @@ class FluxModel:
         slope = self.v_max / self.rho_max
         d = np.minimum(arr, self.sigma, out=out_demand)
         s = np.maximum(arr, self.sigma, out=out_supply)
-        tmp = np.multiply(d, -slope)
-        np.add(tmp, self.v_max, out=tmp)
+        tmp = np.subtract(self.rho_max, d)
+        np.multiply(tmp, slope, out=tmp)
         np.multiply(d, tmp, out=d)  # flux at min(rho, sigma)
-        np.multiply(s, -slope, out=tmp)
-        np.add(tmp, self.v_max, out=tmp)
+        np.subtract(self.rho_max, s, out=tmp)
+        np.multiply(tmp, slope, out=tmp)
         np.multiply(s, tmp, out=s)  # flux at max(rho, sigma)
         return d, s
 

@@ -11,9 +11,9 @@ SIAM J. Math. Anal. 36, 2005): a diverge (one incoming arc) admits the
 largest flux every routed share fits, and a merge (one outgoing arc
 taking every incoming arc whole) waterfills the shared supply in
 priority order.  Anything else is "general": general solves its linear
-program (Garavello & Piccoli, Traffic Flow on Networks, AIMS 2006) by a
-batched bounded-variable simplex, lexicographically in priority order,
-whatever the junction's in- and out-degree.
+program (Garavello & Piccoli, Traffic Flow on Networks, AIMS 2006),
+lexicographically in priority order, whatever the junction's degree:
+rows that fit by the replayed rounds, the rest by a batched simplex.
 
 classify names a junction's kind and KERNELS maps it to its kernel.
 Every kernel solves a batch of B junctions of its kind at once:
@@ -165,6 +165,34 @@ def merge(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> np.
 
 def general(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> np.ndarray:
     """Admitted flux (B, n_in) of B general junctions.
+
+    Rows that fit are answered by the replayed rounds; the rest climb.
+    Stage one of _simplex lifts each arc in turn to its demand without a
+    pivot while its routed shares fit what the arcs before it left of
+    every supply.  Replaying its floating-point operations per arc (a
+    presolve: Andersen & Andersen, Math. Prog. 71, 1995) finds the rows
+    that fit all the way; only the others climb, as a batch of their own.
+    """
+    fits = np.ones(demands.shape[0], dtype=bool)
+    slack = supplies
+    for i in np.flatnonzero(demands.any(axis=0)).tolist():
+        rate = routing[:, :, i]
+        room = np.empty(rate.shape)
+        room.fill(np.inf)
+        np.divide(np.maximum(slack, 0.0), rate, out=room, where=rate > _PIVOT_TOL)
+        fits &= np.minimum.reduce(room, axis=1) >= demands[:, i]
+        if not fits.any():
+            return _simplex(demands, supplies, routing)
+        slack = slack - demands[:, i, None] * rate
+    # to the bit what _simplex returns for a row that fits
+    gamma = np.clip(np.where(demands > 0.0, demands, 0.0), 0.0, demands)
+    if not fits.all():
+        gamma[~fits] = _simplex(demands[~fits], supplies[~fits], routing[~fits])
+    return gamma
+
+
+def _simplex(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> np.ndarray:
+    """general's answer for B junctions, by a lexicographic simplex.
 
     A bounded-variable primal simplex (Chvatal, Linear Programming,
     1983, ch. 8) solves every junction in lockstep from the origin,

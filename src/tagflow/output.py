@@ -10,9 +10,11 @@ Each file is written one sample at a time.  The text in front of each
 value (arc id and cell, or junction and arc pair) is the same in every
 sample, so it is built once per file.  Per sample the values are
 gathered in file order, each distinct float64 bit pattern among them is
-formatted once, and the sample's rows go out as one string.  The writer
-therefore holds one sample's text at a time, and its memory does not
-grow with the number of samples.
+formatted once, and the sample's rows go out as one string.  A sample
+whose values repeat the previous one's bit for bit, as every sample
+past a run's fixed point does, reuses that sample's text.  The writer
+therefore holds at most two samples' text at a time, and its memory
+does not grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ def _texts(values: np.ndarray) -> list[str]:
     for key, value in memo.items():
         memo[key] = _fmt(value)
     return list(map(memo.__getitem__, keys))
+
+
+def _sample_texts(samples):
+    """`_texts` of each sample in turn; a sample whose bits equal the
+    previous sample's reuses its list."""
+    bits = texts = None
+    for values in samples:
+        if bits is None or not np.array_equal(values.view(np.int64), bits):
+            bits, texts = values.view(np.int64), _texts(values)
+        yield texts
 
 
 def write_timeseries(result: RunResult, destination: str | Path) -> dict[str, Path]:
@@ -74,14 +86,13 @@ def write_timeseries(result: RunResult, destination: str | Path) -> dict[str, Pa
         ]
         with open(paths["densities"], "w", newline="") as fh:
             fh.write("time,arc_id,cell,density,tracer\n")
-            placeholder = repeat(_fmt(TRACER_PLACEHOLDER))
-            for ti, t in enumerate(result.times):
+            rhos = _sample_texts(sample.take(cells) for sample in result.density)
+            if result.tracer is None:
+                phis = repeat(repeat(_fmt(TRACER_PLACEHOLDER)))
+            else:
+                phis = _sample_texts(sample.take(cells) for sample in result.tracer)
+            for t, rho, phi in zip(result.times, rhos, phis):
                 time_txt = _fmt(t)
-                rho = _texts(result.density[ti].take(cells))
-                if result.tracer is None:
-                    phi = placeholder
-                else:
-                    phi = _texts(result.tracer[ti].take(cells))
                 fh.write(
                     "".join(
                         [f"{time_txt}{head}{r},{p}\n" for head, r, p in zip(heads, rho, phi)]
@@ -91,9 +102,9 @@ def write_timeseries(result: RunResult, destination: str | Path) -> dict[str, Pa
     with open(paths["fluxes"], "w", newline="") as fh:
         fh.write("time,arc_id,flux\n")
         heads = [f",{result.arc_ids[k]}," for k in order]
-        for ti, t in enumerate(result.times):
+        fluxes = _sample_texts(sample.take(order) for sample in result.arc_fluxes)
+        for t, flux in zip(result.times, fluxes):
             time_txt = _fmt(t)
-            flux = _texts(result.arc_fluxes[ti].take(order))
             fh.write("".join([f"{time_txt}{head}{f}\n" for head, f in zip(heads, flux)]))
 
     with open(paths["coefficients"], "w", newline="") as fh:
@@ -106,12 +117,14 @@ def write_timeseries(result: RunResult, destination: str | Path) -> dict[str, Pa
             for src in result.junction_arcs[jid][0]
             for dst in result.junction_arcs[jid][1]
         ]
+        # a matrix is (n_out, n_in) and the file runs over incoming arcs
+        # first, so each sample's matrix is read transposed
+        coefs = _sample_texts(
+            np.concatenate([m[ti].T for m in matrices], axis=None) for ti in range(len(result.times))
+        )
         # a network without junctions has no coefficient rows
-        for ti, t in enumerate(result.times if matrices else ()):
+        for t, coef in zip(result.times if matrices else (), coefs):
             time_txt = _fmt(t)
-            # a matrix is (n_out, n_in) and the file runs over incoming arcs
-            # first, so each sample's matrix is read transposed
-            coef = _texts(np.concatenate([m[ti].T for m in matrices], axis=None))
             fh.write("".join([f"{time_txt}{head}{c}\n" for head, c in zip(heads, coef)]))
 
     summary = dict(result.summary)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tagflow import junctions
 from tagflow.bench import build_diamond_chain
 from tagflow.output import write_timeseries
 from tagflow.scenario import parse_scenario
@@ -122,3 +123,28 @@ def test_roundabout_csvs_past_its_fixed_point_are_bit_identical(tmp_path):
 @pytest.mark.parametrize("name", sorted(STATE_SHA256))
 def test_stepped_state_is_bit_identical(name):
     assert stepped_state_hashes(name, STEPS.get(name, 200)) == STATE_SHA256[name]
+
+
+# rho.tobytes() of the golden ladder fed at a tenth of its reservoir
+# densities, 200 steps from empty
+FREE_FLOW_LADDER_SHA256 = "4cee43a17a23b0bb72387284a29be419d2f0d1378fca73456c3f3352a0fd7b42"
+
+
+def test_free_flow_ladder_never_climbs(monkeypatch):
+    # the entries carry 0.095 at most between them, so every arc stays in
+    # free flow and every general junction's demands fit its supplies
+    def climb(*args):
+        raise AssertionError("a free-flow junction reached the simplex")
+
+    monkeypatch.setattr(junctions, "_climb", climb)
+    net = NETWORKS["ladder"]()
+    net.boundary_conditions = [
+        dataclasses.replace(bc, rho_bar=bc.rho_bar / 10) for bc in net.boundary_conditions
+    ]
+    sim = Simulator(net)
+    state = sim.init_state()
+    dt = sim.stable_dt(0.5)
+    for _ in range(200):
+        state = sim.step(state, dt)
+    assert state.rho.min() > 0.0
+    assert _sha256(state.rho.tobytes()) == FREE_FLOW_LADDER_SHA256

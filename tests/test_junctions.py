@@ -290,6 +290,48 @@ def test_general_stops_once_nothing_is_free(climbs):
     assert len(climbs) == 1
 
 
+def test_general_climbs_only_for_rows_that_do_not_fit(climbs):
+    # both arcs split evenly, so each supply takes exactly what the two
+    # arcs route to it: every row fits, and none reaches the simplex
+    demands = np.full((50, 2), 0.25)
+    supplies = np.full((50, 2), 0.25)
+    routing = np.full((50, 2, 2), 0.5)
+    np.testing.assert_array_equal(general(demands, supplies, routing), demands)
+    assert len(climbs) == 0
+    # one supply an ulp short: that row climbs, the others still fit
+    supplies[17, 1] = np.nextafter(0.25, 0.0)
+    gamma = general(demands, supplies, routing)
+    assert len(climbs) >= 1
+    assert gamma[17].sum() < 0.5
+    np.testing.assert_array_equal(np.delete(gamma, 17, axis=0), np.delete(demands, 17, axis=0))
+
+
+def test_general_answers_as_the_simplex_alone_bitwise():
+    rng = np.random.default_rng(19)
+    whole = short = 0
+    for n_in, n_out in itertools.product(range(2, 6), range(1, 5)):
+        demands, supplies, routing, _ = _general_batch(rng, n_in, n_out, 250)
+        demands[rng.random(250) < 0.05] = 0.0
+        routing[rng.random(routing.shape) < 0.05] = junctions._PIVOT_TOL
+        # supplies of exactly the routed demands summed in order, an ulp
+        # short of that, an ulp over it, or drawn at random
+        routed = np.zeros(supplies.shape)
+        for i in range(n_in):
+            routed = routed + demands[:, i, None] * routing[:, :, i]
+        pick = rng.integers(0, 4, 250)
+        supplies[pick == 0] = routed[pick == 0]
+        supplies[pick == 1] = np.nextafter(routed, 0.0)[pick == 1]
+        supplies[pick == 2] = np.nextafter(routed, 1.0)[pick == 2]
+        gamma = general(demands, supplies, routing)
+        alone = junctions._simplex(demands, supplies, routing)
+        assert np.array_equal(gamma.view(np.int64), alone.view(np.int64)), f"{n_in}x{n_out}"
+        served = np.all(gamma == demands, axis=1)
+        whole += served.sum()
+        short += (~served).sum()
+    # rows that get their demands and rows that do not both occur in numbers
+    assert min(whole, short) > 500
+
+
 def _general_batch(rng, n_in, n_out, size):
     """size random general problems of one shape.
 

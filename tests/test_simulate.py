@@ -413,6 +413,18 @@ def test_maximum_principle_on_congested_feed():
         assert state.rho.max() <= 1.0
 
 
+def test_a_jammed_cell_admits_no_negative_flux():
+    for model in (UNIT, FluxModel(0.7, 0.3), FluxModel(1.3, 2.7), FluxModel(2.0, 3.0), FluxModel(0.9, 0.1)):
+        assert model.supply(model.rho_max) == 0.0
+        assert model.flux(model.rho_max) == 0.0
+        assert model.demand_and_supply(np.array([model.rho_max]))[1][0] == 0.0
+        # the last five cells of the arc stand at jam density
+        sim = Simulator(single_arc_network(model, 10, 0.4 * model.rho_max))
+        state = sim.init_state()
+        state.rho[5:] = model.rho_max
+        assert sim.compute_fluxes(state).fluxes.min() >= 0.0
+
+
 def test_tracer_stays_in_bounds_during_transient(roundabout_run):
     tracer = roundabout_run.tracer
     assert tracer is not None

@@ -234,14 +234,15 @@ def ladder_network(widths, seed=0) -> Network:
     return Network(FluxModel(), arcs, junctions, bcs)
 
 
-def mixed_kind_network() -> Network:
+def mixed_kind_network(model: FluxModel | None = None) -> Network:
     """Every junction kind in one table: three reservoirs feed a dynamic
     exit (1->2) and a static 1->3 diverge, which share the diverge rows;
     a 2->1 and a 3->1 merge, which share the merge rows; and a 2x3
     general junction.  The 3->1 merge takes more than one arc can carry,
     so it backs up into the diverge in front of it.  The exit lists its exit
-    arc second and lets the unmarked class leave."""
-    model = FluxModel()
+    arc second and lets the unmarked class leave.  The reservoir
+    densities are fractions of the model's rho_max."""
+    model = model or FluxModel()
     kinds = {"A": "external_in", "B": "external_in", "C": "external_in"}
     kinds.update({a: "external_out" for a in ("E", "Z1", "Z2", "Z3")})
     arcs = [
@@ -270,11 +271,55 @@ def mixed_kind_network() -> Network:
         ),
     ]
     bcs = [
-        BoundaryCondition("A", 0.3, tracer_in=0.6),
-        BoundaryCondition("B", 0.45, tracer_in=0.2),
-        BoundaryCondition("C", 0.1, tracer_in=0.9),
+        BoundaryCondition("A", 0.3 * model.rho_max, tracer_in=0.6),
+        BoundaryCondition("B", 0.45 * model.rho_max, tracer_in=0.2),
+        BoundaryCondition("C", 0.1 * model.rho_max, tracer_in=0.9),
     ]
     return Network(model=model, arcs=arcs, junctions=junctions, boundary_conditions=bcs)
+
+
+def topic_network(n_topics: int, cells_per_arc: int, seed: int = 7) -> Network:
+    """Topics grown by preferential attachment, one junction per topic.
+
+    Topic t > 0 links to min(2, t) distinct older topics, each drawn
+    with probability proportional to its in-degree + 1, so the oldest
+    topics become hubs with wide incoming rows.  Every topic also has a
+    reservoir-fed arc, at a density uniform on [0.05, 0.3], and a
+    draining arc.  Routing columns and priorities are Dirichlet draws.
+    Topic 0 has no out-link, so it is a merge; a topic nobody links to
+    is a diverge, and the rest are general junctions.
+    """
+    rng = np.random.default_rng(seed)
+    in_degree = np.zeros(n_topics)
+    links = []  # (from, to)
+    for t in range(1, n_topics):
+        weight = in_degree[:t] + 1.0
+        for u in rng.choice(t, size=min(2, t), replace=False, p=weight / weight.sum()).tolist():
+            links.append((t, u))
+            in_degree[u] += 1
+    arcs = [Arc(f"in{t}", 0.0, 1.0, cells_per_arc, "external_in") for t in range(n_topics)]
+    arcs += [Arc(f"out{t}", 0.0, 1.0, cells_per_arc, "external_out") for t in range(n_topics)]
+    arcs += [Arc(f"L{t}_{u}", 0.0, 1.0, cells_per_arc, "generic") for t, u in links]
+    incoming = [[f"in{t}"] for t in range(n_topics)]
+    outgoing = [[] for _ in range(n_topics)]
+    for t, u in links:
+        outgoing[t].append(f"L{t}_{u}")
+        incoming[u].append(f"L{t}_{u}")
+    junctions = []
+    for t in range(n_topics):
+        outgoing[t].append(f"out{t}")
+        n_in, n_out = len(incoming[t]), len(outgoing[t])
+        junctions.append(
+            Junction(
+                f"T{t}",
+                incoming[t],
+                outgoing[t],
+                rng.dirichlet(np.ones(n_out), size=n_in).T,
+                priority=rng.dirichlet(np.ones(n_in)),
+            )
+        )
+    bcs = [BoundaryCondition(f"in{t}", float(rng.uniform(0.05, 0.3))) for t in range(n_topics)]
+    return Network(FluxModel(), arcs, junctions, bcs)
 
 
 def ring_network() -> Network:

@@ -20,7 +20,14 @@ from tagflow.simulate import Simulator
 
 from tagflow.flux import FluxModel
 
-from helpers import hub_network, ladder_network, mixed_kind_network, ring_network, single_arc_network
+from helpers import (
+    hub_network,
+    ladder_network,
+    mixed_kind_network,
+    ring_network,
+    single_arc_network,
+    topic_network,
+)
 
 ROUNDABOUT = Path(__file__).parent.parent / "demos" / "roundabout.json"
 
@@ -46,7 +53,8 @@ ROUNDABOUT_T100_CSV_SHA256 = {
     "densities": "7a1bc10f644df8161df2801c1c01ba230ac1a0f4b0a80b567f6cf6847794a557",
 }
 # rho.tobytes() (and phi.tobytes() and exit_splits.tobytes() where there
-# is a tracer) after 200 steps (or STEPS[name]) from seeded densities
+# is a tracer) after 200 steps (or STEPS[name]) from densities seeded on
+# [0, rho_max]
 STATE_SHA256 = {
     "diamond-chain": {"rho": "e59d20f0278e3e77d2fcae7a5f3d3f052c517936f110d2a7c8e8f928874bc105"},
     "one-cell-arcs": {"rho": "50412d031258c92677ba6f74f971fe2fd2312ec03bfd529962f00024804d3584"},
@@ -59,6 +67,12 @@ STATE_SHA256 = {
     "ring": {"rho": "2110e26cc6145e5dc43802ee22af002378d306e260596c9eef4b5235b002c332"},
     "hub": {"rho": "9dc2347f969384c9c2b83e676132f848580c54a68631e073c6138096986ae8de"},
     "ladder": {"rho": "fd279fbc806ef2a07bf2118d0c8e725bc726df0079a2624ef9cc61df689ea801"},
+    "mixed-slope": {
+        "rho": "c82ad4196ae7705cef87c82bb85f222a173ebc8e4fe2c4279fcf171282dc9bba",
+        "phi": "42afef2f1142a9af01f21fb6475c2156c572e4983e577dd94fc37f52528bd1b1",
+        "exit_splits": "0b2da2ec1eccae41f0083ffe06c6a7cee5be399cab2a9e484de911b6498ba4ca",
+    },
+    "topics": {"rho": "377b098fd89d1121e68e503e5ff5936f91fe97ba2b89c13e3403390293332a25"},
 }
 NETWORKS = {
     "diamond-chain": lambda: build_diamond_chain(40, 5),
@@ -74,6 +88,11 @@ NETWORKS = {
     # seven general junctions of every shape from 2x2 to 3x3, the
     # generic-grid workload's shapes
     "ladder": lambda: ladder_network((2, 2, 3, 2, 3, 3, 2, 2)),
+    # slope v_max / rho_max != 1 and rho_max != 1, with a dynamic exit
+    "mixed-slope": lambda: mixed_kind_network(FluxModel(0.7, 0.3)),
+    # hubs: a 23-wide merge and general rows up to 22x3 beside 1x2 to
+    # 1x3 diverges, every kind at its own width
+    "topics": lambda: topic_network(60, 3, seed=7),
 }
 # a lone cell settles on its reservoir's density within 200 steps, so it
 # is pinned while it still moves
@@ -98,7 +117,7 @@ def stepped_state_hashes(name: str, steps: int = 200, seed: int = 7) -> dict[str
     sim = Simulator(NETWORKS[name]())
     state = sim.init_state()
     rng = np.random.default_rng(seed)
-    state.rho[:] = rng.uniform(0.0, 1.0, sim.total_cells)
+    state.rho[:] = rng.uniform(0.0, sim.model.rho_max, sim.total_cells)
     if state.phi is not None:
         state.phi[:] = rng.uniform(0.0, 1.0, sim.total_cells)
     dt = sim.stable_dt(0.5)

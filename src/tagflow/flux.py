@@ -97,17 +97,24 @@ class FluxModel:
 
         The fast path of the stepping engine; check=False skips the
         domain validation, and the conversion, for a float array the
-        caller already clamped.
+        caller already clamped.  A scalar gives two floats, equal to
+        demand(rho) and supply(rho), and ignores the buffers.  A slope
+        v_max / rho_max of exactly 1 is not multiplied by.
         """
         arr = self.clamp_density(rho) if check else rho
+        if np.ndim(arr) == 0:
+            d, s = np.minimum(arr, self.sigma), np.maximum(arr, self.sigma)
+            return float(d * self._speed(d)), float(s * self._speed(s))
         slope = self.v_max / self.rho_max
         d = np.minimum(arr, self.sigma, out=out_demand)
         s = np.maximum(arr, self.sigma, out=out_supply)
         tmp = np.subtract(self.rho_max, d)
-        np.multiply(tmp, slope, out=tmp)
+        if slope != 1.0:
+            np.multiply(tmp, slope, out=tmp)
         np.multiply(d, tmp, out=d)  # flux at min(rho, sigma)
         np.subtract(self.rho_max, s, out=tmp)
-        np.multiply(tmp, slope, out=tmp)
+        if slope != 1.0:
+            np.multiply(tmp, slope, out=tmp)
         np.multiply(s, tmp, out=s)  # flux at max(rho, sigma)
         return d, s
 

@@ -33,6 +33,7 @@ contribute to mixtures.
 
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from dataclasses import dataclass
@@ -227,6 +228,17 @@ def detect_equilibrium(
     return float(times[first])
 
 
+def _router(routing: np.ndarray, gamma: np.ndarray, out: np.ndarray):
+    """A call that routes B rows' admitted flux gamma (B, n_in) into out.
+
+    out is (B, n_out), routing (B, n_out, n_in).  A one-in row's routing
+    is a column, so a product routes it.
+    """
+    if routing.shape[2] == 1:
+        return functools.partial(np.multiply, routing[:, :, 0], gamma, out=out)
+    return functools.partial(np.einsum, "bji,bi->bj", routing, gamma, out=out)
+
+
 def _state_bytes(state: SimState) -> list[bytes]:
     """The state's arrays as raw bytes, equal exactly when their bits are.
 
@@ -239,10 +251,12 @@ class Simulator:
     """Stepping engine bound to one validated network.
 
     Construction flattens all arcs into one cell array and stacks every
-    junction, reservoir and sink end as one row of one table, padded to
-    the widest row and sorted by kind.  A step solves each kind's rows
-    in one call to its kernel in junctions.KERNELS, then routes bulk and
-    tracer flux by the same formula for every row.  Instances hold no
+    junction, reservoir and sink end as one row of one table, in groups
+    of one kind and width class, each padded only to its own widest row.
+    A step gathers every group's slots in one call, solves each group in
+    one call to its kind's kernel in junctions.KERNELS, routes bulk and
+    tracer flux by the same formula for every row, and scatters every
+    group's fluxes in one call.  Instances hold no
     per-run state and may be shared across runs, but one SimState must
     only ever be advanced by one thread at a time.  A Simulator keeps no
     network: the cell layout, the junction ids, the table and the
@@ -250,9 +264,11 @@ class Simulator:
     centres and run results read only those copies, so a later edit of
     the network changes none of them.
 
-    Work buffers: demand and supply over the cells and the table's
-    slots, and the cells' flux differences; only a network with a tracer
-    adds the clipped tracer, over the cells and slots too.
+    Work buffers: demand and supply over the cells and the reservoir
+    and outlet slots, the table's gathered demands and supplies, admitted
+    and routed fluxes, and the cells' flux differences; only a network
+    with a tracer adds the clipped tracer, over the cells and slots, and
+    the table's tracer fluxes.
     """
 
     def __init__(self, net: Network):
@@ -290,7 +306,8 @@ class Simulator:
         tracer = [bc.tracer_in for bc in reservoirs]
         self._phi = np.concatenate([head, tracer, [0.0]]) if self._dyn_ids else None
         self._work = np.empty(self.total_cells)
-        self._lam_cache: tuple[float | None, np.ndarray | None] = (None, None)
+        self._dx_cells = float(self.dx[0]) if np.all(self.dx == self.dx[0]) else self.dx_cell
+        self._lam_cache: tuple[float | None, float | np.ndarray | None] = (None, None)
 
     # -- layout ------------------------------------------------------------
 
@@ -306,13 +323,20 @@ class Simulator:
         total_ifaces, which no cell reads.  Returns the reservoirs'
         boundary conditions, whose demand and tracer fill their slots.
 
-        Rows are sorted by kind, stably, so each kind is one contiguous
-        row range and the dynamic exits keep network order, the row
-        order of exit_splits.  in_cell and in_iface are (J, n_in) with
-        incoming arcs in priority order, out_cell and out_iface are
-        (J, n_out), and routing is (J, n_out, n_in), zero in the padding
-        and exactly 1 on a merge's row.  Padding points at the dead cell,
+        Rows are grouped by kind and, within a kind, by the width class
+        of their n_in and of their n_out (widths 1 to 4, then each power
+        of two up to the next), each group in network order.  A group of
+        B rows is padded to its own widest row, (n_in, n_out), at most
+        twice as wide as any of its rows past width 4, so the table grows
+        with its real slots.  in_cell and in_iface are flat, B * n_in
+        entries per group, each row's incoming arcs in priority order;
+        out_cell and out_iface hold B * n_out per group, and routing B *
+        n_out * n_in, zero in the padding and exactly 1 on a merge's row.
+        Each group reads its entries as contiguous (B, n_in), (B, n_out)
+        and (B, n_out, n_in) views.  Padding points at the dead cell,
         whose demand, supply and tracer stay 0, and the scratch interface.
+        The dynamic exits are diverge rows; exit_splits lists them in
+        network order.
         """
         idx = self._arc_index
         net_juncs = net.junctions
@@ -328,41 +352,54 @@ class Simulator:
         orders = [_junctions.priority_order(j.priority) for j in net_juncs] + [[0]] * len(ends)
 
         kinds = list(_junctions.KERNELS)
-        kind = np.array([kinds.index(_junctions.classify(d)) for d in distributions], np.intp)
-        rows = np.argsort(kind, kind="stable").tolist()
-        n_in = np.array([len(incoming[r]) for r in rows], dtype=np.intp)
-        n_out = np.array([len(outgoing[r]) for r in rows], dtype=np.intp)
-        in_slot = np.arange(n_in.max(initial=1)) < n_in[:, None]
-        out_slot = np.arange(n_out.max(initial=1)) < n_out[:, None]
+        kind = np.array([kinds.index(_junctions.classify(d)) for d in distributions], dtype=np.intp)
+        widths = np.array([[len(i) for i in incoming], [len(o) for o in outgoing]], dtype=np.intp)
+        # a width's class is ceil(log2(width)), but at least 2: 1 to 4, 5 to 8, 9 to 16, ...
+        n_in_class, n_out_class = np.maximum(np.frexp(widths - 1)[1], 2)
+        group = (kind * 64 + n_in_class) * 64 + n_out_class  # classes stay below 64
+        rows = np.argsort(group, kind="stable")
+        starts = np.flatnonzero(np.diff(group[rows], prepend=-1)).tolist()
+        # each row's first in-slot, out-slot and routing entry, and the
+        # stride of its routing rows, by row in network order
+        base = np.zeros((4, len(rows)), dtype=np.intp)
+        in_arcs, out_arcs, routings, layout = [], [], [], []
+        at = np.zeros(3, dtype=np.intp)  # where the next group starts in each flat array
+        # every valid network has a row: an arc is fed by a junction or a reservoir
+        for start, stop in zip(starts, starts[1:] + [len(rows)]):
+            members = rows[start:stop]
+            n_in, n_out = widths[:, members]
+            members = members.tolist()
+            in_slot = np.arange(n_in.max()) < n_in[:, None]
+            out_slot = np.arange(n_out.max()) < n_out[:, None]
+            arcs = np.full(in_slot.shape, n_arcs, dtype=np.intp)
+            # each row's incoming arcs, and its routing columns below, in priority order
+            arcs[in_slot] = [incoming[r][i] for r in members for i in orders[r]]
+            in_arcs.append(arcs.ravel())
+            arcs = np.full(out_slot.shape, n_arcs, dtype=np.intp)
+            arcs[out_slot] = [a for r in members for a in outgoing[r]]
+            out_arcs.append(arcs.ravel())
+            routing = np.zeros(out_slot.shape + in_slot.shape[1:])
+            real = out_slot[:, :, None] & in_slot[:, None, :]
+            # plain floats: a permuted array per junction would raise peak memory
+            routing[real] = [row[i] for r in members for row in distributions[r].tolist() for i in orders[r]]
+            name = kinds[kind[members[0]]]
+            if name == "merge":
+                routing[:, 0] = in_slot
+            routings.append(routing.ravel())
+            shape = routing.shape
+            base[:3, members] = at[:, None] + np.arange(len(members)) * [[shape[2]], [shape[1]], [shape[1] * shape[2]]]
+            base[3, members] = shape[2]
+            layout.append((name, shape, *at.tolist()))
+            at += [in_slot.size, out_slot.size, routing.size]
 
-        in_arcs = np.full(in_slot.shape, n_arcs, dtype=np.intp)
-        # each row's incoming arcs, and its routing columns below, in priority order
-        in_arcs[in_slot] = [incoming[r][i] for r in rows for i in orders[r]]
-        out_arcs = np.full(out_slot.shape, n_arcs, dtype=np.intp)
-        out_arcs[out_slot] = [a for r in rows for a in outgoing[r]]
         slots = self.total_cells + np.arange(len(sources) + 2)
         scratch = np.full(slots.size, self.total_ifaces)
+        in_arcs, out_arcs = np.concatenate(in_arcs), np.concatenate(out_arcs)
         self._in_cell = np.concatenate([self._arc_last_cell, slots])[in_arcs]
         self._in_iface = np.concatenate([self.arc_last_iface, scratch])[in_arcs]
         self._out_cell = np.concatenate([self.arc_first_iface, slots])[out_arcs]
         self._out_iface = np.concatenate([self.arc_first_iface, scratch])[out_arcs]
-
-        # every valid network has a row: an arc is fed by a junction or a reservoir
-        routing = self._routing = np.zeros(out_slot.shape + in_slot.shape[1:])
-        real = out_slot[:, :, None] & in_slot[:, None, :]
-        # plain floats: a permuted array per junction would raise peak memory
-        routing[real] = [row[i] for r in rows for row in distributions[r].tolist() for i in orders[r]]
-        merges = kind[rows] == kinds.index("merge")
-        routing[merges, 0] = in_slot[merges]
-        self._gamma = np.zeros(in_slot.shape)
-
-        # one kernel call per kind present, at that kind's own width
-        stops = np.cumsum(np.bincount(kind, minlength=len(kinds))).tolist()
-        self._kinds = [
-            (slice(start, stop), _junctions.KERNELS[name], n_in[start:stop].max(), n_out[start:stop].max())
-            for name, start, stop in zip(kinds, [0] + stops, stops)
-            if stop > start
-        ]
+        self._routing = np.concatenate(routings)
         # the boundary totals sum in arc order
         self._inflow_iface = self.arc_first_iface[sources]
         self._outflow_iface = self.arc_last_iface[sinks]
@@ -375,23 +412,43 @@ class Simulator:
             np.cumsum([0] + [len(j.incoming) for j in net_juncs])[:-1],
             np.cumsum([0] + [len(j.outgoing) for j in net_juncs])[:-1],
         ]
+        # each junction's first in-slot and routing entry, and the stride
+        # of its routing rows
+        self._junction_at = base[[0, 2, 3], : len(net_juncs)]
 
-        # dynamic exits (one in, two out) are diverge rows; _dyn_split
-        # holds the flat indices of routing[dyn, :2, 0], their splits
-        mode = [j.coefficient_mode for j in net_juncs] + [None] * len(ends)
-        dyn = np.flatnonzero([mode[r] == "dynamic" for r in rows])
-        self._dyn_split = np.ravel_multi_index((dyn[:, None], [0, 1], 0), self._routing.shape)
+        # dynamic exits (one in, two out) are diverge rows, in network
+        # order; _dyn_split holds the flat indices of their splits in routing
+        dyn = np.flatnonzero([j.coefficient_mode == "dynamic" for j in net_juncs])
+        dynamic = [net_juncs[k] for k in dyn]
+        in_at, out_at, routing_at, stride = base[:, dyn]
+        self._dyn_split = routing_at[:, None] + stride[:, None] * np.arange(2)
         # the initial splits, copied before the first step overwrites them
-        self._dyn_initial = self._routing.flat[self._dyn_split]
-        dynamic = [net_juncs[rows[p]] for p in dyn]
+        self._dyn_initial = self._routing[self._dyn_split]
         self._dyn_ids = [j.id for j in dynamic]
         exit_col = np.array([j.outgoing.index(j.exit_arc) for j in dynamic], dtype=np.intp)
         self._dyn_exit_mask = exit_col[:, None] == [0, 1]
         self._dyn_takes_marked = np.array([j.exit_tracer == 1.0 for j in dynamic], dtype=bool)
-        self._dyn_in_cell = self._in_cell[dyn, 0]
-        self._dyn_in_iface = self._in_iface[dyn, 0]
-        self._dyn_exit_iface = self._out_iface[dyn, exit_col]
-        self._dyn_other_iface = self._out_iface[dyn, 1 - exit_col]
+        self._dyn_in_cell = self._in_cell[in_at]
+        self._dyn_in_iface = self._in_iface[in_at]
+        self._dyn_exit_iface = self._out_iface[out_at + exit_col]
+        self._dyn_other_iface = self._out_iface[out_at + 1 - exit_col]
+
+        # the slots each step gathers, solves and routes, the tracer's only
+        # where there is one; a group reads and writes contiguous views
+        n_in, n_out = in_arcs.size, out_arcs.size
+        self._d, self._gamma = np.empty(n_in), np.empty(n_in)
+        self._s, self._routed = np.empty(n_out), np.empty(n_out)
+        self._per_in, self._routed_phi = (np.empty(n_in), np.empty(n_out)) if dyn.size else (None, None)
+        self._groups, self._tracer_routes = [], []
+        for kind, (b, width_out, width_in), i, o, r in layout:
+            ins, outs = slice(i, i + b * width_in), slice(o, o + b * width_out)
+            routing = self._routing[r : r + b * width_out * width_in].reshape(b, width_out, width_in)
+            d, gamma = (a[ins].reshape(b, width_in) for a in (self._d, self._gamma))
+            s, routed = (a[outs].reshape(b, width_out) for a in (self._s, self._routed))
+            self._groups.append((_junctions.KERNELS[kind], d, s, routing, gamma, _router(routing, gamma, routed)))
+            if dyn.size:
+                per_in, routed = self._per_in[ins].reshape(b, width_in), self._routed_phi[outs].reshape(b, width_out)
+                self._tracer_routes.append(_router(routing, per_in, routed))
         bc_by_arc = {bc.arc_id: bc for bc in net.boundary_conditions}
         return [bc_by_arc[self.arc_ids[k]] for k in sources]
 
@@ -449,16 +506,15 @@ class Simulator:
         F = np.empty(self.total_ifaces + 1)
         np.minimum(demand[:-1], supply[1:], out=F[1:n])
 
-        # one kernel call per kind, then one routing formula for every row
-        routing = self._routing
-        routing.flat[self._dyn_split] = state.exit_splits
-        d = self._D[self._in_cell]
-        s = self._S[self._out_cell]
-        gamma = self._gamma  # its padding columns stay 0
-        for rows, kernel, n_in, n_out in self._kinds:
-            gamma[rows, :n_in] = kernel(d[rows, :n_in], s[rows, :n_out], routing[rows, :n_out, :n_in])
-        F[self._in_iface] = gamma
-        F[self._out_iface] = np.einsum("bji,bi->bj", routing, gamma)
+        # one gather, a kernel call and a routing per group, one scatter
+        self._routing[self._dyn_split] = state.exit_splits
+        self._D.take(self._in_cell, out=self._d, mode="clip")
+        self._S.take(self._out_cell, out=self._s, mode="clip")
+        for kernel, d, s, routing, gamma, route in self._groups:
+            gamma[...] = kernel(d, s, routing)
+            route()
+        F[self._in_iface] = self._gamma
+        F[self._out_iface] = self._routed
 
         Fphi = splits = None
         if state.phi is not None:
@@ -494,9 +550,12 @@ class Simulator:
         Fphi = np.empty(self.total_ifaces + 1)
         np.multiply(F[1:n], cells[:-1], out=Fphi[1:n])
 
-        per_in = self._gamma * phi[self._in_cell]
+        per_in = phi.take(self._in_cell, out=self._per_in, mode="clip")
+        np.multiply(self._gamma, per_in, out=per_in)
         Fphi[self._in_iface] = per_in
-        Fphi[self._out_iface] = np.minimum(np.einsum("bji,bi->bj", self._routing, per_in), F[self._out_iface])
+        for route in self._tracer_routes:
+            route()
+        Fphi[self._out_iface] = np.minimum(self._routed_phi, F[self._out_iface])
 
         m = F[self._dyn_in_iface] * phi[self._dyn_in_cell]
         bulk_exit = F[self._dyn_exit_iface]
@@ -513,12 +572,13 @@ class Simulator:
 
     # -- phase 2 -----------------------------------------------------------
 
-    def _lambda(self, dt: float) -> np.ndarray:
-        key, arr = self._lam_cache
+    def _lambda(self, dt: float) -> float | np.ndarray:
+        """dt / dx per cell, or one float when every arc has the same dx."""
+        key, lam = self._lam_cache
         if key != dt:
-            arr = dt / self.dx_cell
-            self._lam_cache = (dt, arr)
-        return arr
+            lam = dt / self._dx_cells
+            self._lam_cache = (dt, lam)
+        return lam
 
     def apply(self, state: SimState, snap: FluxSnapshot, dt: float, inplace: bool = False) -> SimState:
         """Phase 2: advance state by dt using a snapshot of its fluxes.
@@ -553,7 +613,11 @@ class Simulator:
             mu[last] = Fphi[n:] - Fphi[last]
             np.multiply(mu, lam, out=mu)
             np.subtract(out.rho * out.phi, mu, out=mu)
-        np.minimum(np.maximum(rho_new, 0.0, out=out.rho), self.model.rho_max, out=out.rho)
+        # the upper clip can only change a value above rho_max, and -0.0
+        # comes out +0.0 from the lower one
+        np.maximum(rho_new, 0.0, out=out.rho)
+        if hi > self.model.rho_max:
+            np.minimum(out.rho, self.model.rho_max, out=out.rho)
         if out.phi is not None:
             heavy = out.rho > EPS_MASS
             out.phi[:] = TRACER_PLACEHOLDER
@@ -565,7 +629,9 @@ class Simulator:
                 raise SimulationError(
                     f"tracer left [0, 1] at t={state.time:.6g} (range [{lo:.3e}, {hi:.3e}])"
                 )
-            np.minimum(np.maximum(out.phi, 0.0, out=out.phi), 1.0, out=out.phi)
+            np.maximum(out.phi, 0.0, out=out.phi)
+            if hi > 1.0:
+                np.minimum(out.phi, 1.0, out=out.phi)
         if snap.exit_splits is not None:
             out.exit_splits[:] = snap.exit_splits
 
@@ -611,11 +677,17 @@ class Simulator:
         # and starts at the first face of its cells
         ins = self._balance_in - self.total_cells
         outs = np.searchsorted(self.arc_first_iface, self._balance_out)
-        # the table row, and the column in priority order, of each incoming arc
-        at = np.empty(len(self.arc_ids) + 1, dtype=np.intp)
-        at[self._in_iface.ravel() - self.total_cells] = np.arange(self._in_iface.size)
-        row, col = np.divmod(at[ins], self._in_iface.shape[1])
-        columns = self._routing[row, :, col]
+        # an incoming arc's in-slot lies at its place in priority order in
+        # its row, and so does its column in the row's routing
+        slot = np.empty(len(self.arc_ids) + 1, dtype=np.intp)
+        slot[self._in_iface - self.total_cells] = np.arange(self._in_iface.size)
+        n_in = np.diff(self._balance_at[0], append=ins.size)
+        in_at, routing_at, stride = np.repeat(self._junction_at, n_in, axis=1)
+        first = routing_at + slot[ins] - in_at
+        # one row per incoming arc, as wide as the most outgoing arcs; a
+        # junction reads only its own
+        width = max(np.diff(self._balance_at[1], append=outs.size), default=0)
+        columns = self._routing.take(first[:, None] + stride[:, None] * np.arange(width), mode="clip")
         ids, ins, outs = self.arc_ids, ins.tolist(), outs.tolist()
         in_at = self._balance_at[0].tolist() + [len(ins)]
         out_at = self._balance_at[1].tolist() + [len(outs)]

@@ -102,6 +102,17 @@ def test_array_inputs_round_trip():
         assert isinstance(model.flux(0.3 * model.rho_max), float)
 
 
+@pytest.mark.parametrize("model", [UNIT, FluxModel(0.7, 0.3)], ids=["slope-1", "slope-7/3"])
+def test_demand_and_supply_of_a_scalar_is_two_floats(model):
+    # both slope branches: a slope of exactly 1 skips its multiplications
+    for rho in np.linspace(0.0, model.rho_max, 41).tolist() + [model.sigma]:
+        for value in (rho, np.float64(rho), np.array(rho)):
+            demand, supply = model.demand_and_supply(value)
+            assert type(demand) is float and type(supply) is float
+            assert np.float64(demand).tobytes() == np.float64(model.demand(rho)).tobytes()
+            assert np.float64(supply).tobytes() == np.float64(model.supply(rho)).tobytes()
+
+
 @given(rho=densities)
 def test_flux_is_density_times_velocity(rho):
     # exact: both sides multiply the same two floats

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tagflow.flux import FluxModel
+from tagflow import junctions
+from tagflow.flux import DENSITY_TOL, FluxModel
 from tagflow.junctions import KERNELS, classify, priority_order
 from tagflow.network import (
     Arc,
@@ -18,6 +19,7 @@ from tagflow.network import (
 )
 from tagflow.simulate import (
     EPS_FLUX,
+    FluxSnapshot,
     SimConfig,
     SimulationError,
     Simulator,
@@ -36,6 +38,7 @@ from helpers import (
     riemann_l1_error,
     ring_network,
     single_arc_network,
+    topic_network,
 )
 
 UNIT = FluxModel()
@@ -908,6 +911,105 @@ def test_tracer_mass_conserved_per_step_through_a_padded_general_group():
     snap = sim.compute_fluxes(state)
     entry = sim.arc_first_iface[sim.arc_ids.index("A")]
     assert snap.tracer_fluxes[entry] == snap.fluxes[entry] * 0.6 > 0.0
+
+
+def _snapshot(sim, fluxes, tracer_fluxes=None, exit_splits=None):
+    return FluxSnapshot(fluxes, tracer_fluxes, exit_splits, inflow_total=0.0, outflow_total=0.0)
+
+
+@pytest.mark.parametrize("model", [UNIT, FluxModel(0.7, 0.3)], ids=["unit", "sloped"])
+def test_one_sided_density_clip_equals_the_two_sided_clip(model):
+    # one arc of four cells and dt / dx = 0.5 exactly: cell 0 lands on
+    # rho_max, cell 1 is -0.0 with no divergence, and, the second time,
+    # cell 2 lands just above rho_max within DENSITY_TOL; the first time
+    # the upper clip is skipped
+    top = model.rho_max
+    sim = Simulator(single_arc_network(model, 4, 0.0))
+    dt = sim.dx[0] / 2.0  # apply leaves the CFL bound to step
+    fluxes = np.array([0.25, 0.0, 0.0, 0.0, 0.25])
+    for above in (False, True):
+        state = sim.init_state()
+        state.rho[:] = [top - 0.125, -0.0, top + 2e-13 if above else top / 2, 0.25]
+        unclipped = state.rho - np.diff(fluxes) * 0.5
+        assert unclipped[0] == top and np.signbit(unclipped[1])
+        assert (top < unclipped[2] <= top + DENSITY_TOL) == above
+        new = sim.apply(state, _snapshot(sim, fluxes), dt)
+        assert new.rho.tobytes() == np.minimum(np.maximum(unclipped, 0.0), top).tobytes()
+        assert new.rho[0] == top and not np.signbit(new.rho[1])
+
+
+def test_one_sided_tracer_clip_equals_the_two_sided_clip():
+    # no flux anywhere and every cell at density 0.5, so each cell's
+    # unclipped tracer is its own: exactly 1, -0.0, and, the second
+    # time, just above 1 within the tracer slack
+    sim = Simulator(mixed_kind_network())
+    zeros = np.zeros(sim.total_ifaces)
+    for above in (False, True):
+        state = sim.init_state()
+        state.rho[:] = 0.5
+        state.phi[:3] = [1.0, -0.0, 1.0 + 1e-10 if above else 0.25]
+        snap = _snapshot(sim, zeros, zeros, state.exit_splits.copy())
+        new = sim.apply(state, snap, sim.stable_dt(0.5))
+        assert new.rho.tobytes() == state.rho.tobytes()
+        assert new.phi.tobytes() == np.minimum(np.maximum(state.phi, 0.0), 1.0).tobytes()
+        assert new.phi[0] == 1.0 and not np.signbit(new.phi[1])
+
+
+def _count_kernel_rows(monkeypatch):
+    calls = []
+    for name, kernel in junctions.KERNELS.items():
+
+        def counted(demands, supplies, routing, name=name, kernel=kernel):
+            calls.append((name, demands.shape, supplies.shape, routing.shape))
+            return kernel(demands, supplies, routing)
+
+        monkeypatch.setitem(junctions.KERNELS, name, counted)
+    return calls
+
+
+def test_diamond_chain_table_is_two_groups_without_padded_in_slots(monkeypatch):
+    calls = _count_kernel_rows(monkeypatch)
+    sim = Simulator(build_diamond_chain(2000, 25))
+    # 667 1->2 splits, the reservoir's and the sink's 1->1 rows, 667
+    # 2->1 merges: 2003 in-slots, where one table of 1336 rows padded to
+    # two incoming arcs had 2672, and none of them is padding
+    assert sim._in_cell.size == 669 + 2 * 667 == 2003
+    assert not np.any(sim._in_cell == sim.total_cells)
+    assert sim._out_cell.size == 2 * 669 + 667
+    state = sim.init_state()
+    for step in range(1, 4):
+        state = sim.step(state, sim.stable_dt(0.5))
+        assert calls == [
+            ("diverge", (669, 1), (669, 2), (669, 2, 1)),
+            ("merge", (667, 2), (667, 1), (667, 1, 2)),
+        ] * step
+
+
+def _table_bytes(sim):
+    slots = (sim._in_cell, sim._in_iface, sim._d, sim._gamma, sim._out_cell, sim._out_iface, sim._s, sim._routed)
+    return sum(a.nbytes for a in slots) + sim._routing.nbytes
+
+
+@pytest.mark.parametrize("n_topics", [60, 240])
+def test_topic_table_grows_with_its_real_slots(n_topics):
+    net = topic_network(n_topics, 3)
+    sim = Simulator(net)
+    # reservoir and sink rows are one-in, one-out
+    ends = len(net.source_arc_ids) + len(net.sink_arc_ids)
+    rows = len(net.junctions) + ends
+    real_in = sum(len(j.incoming) for j in net.junctions) + ends
+    real_out = sum(len(j.outgoing) for j in net.junctions) + ends
+    real_routing = sum(j.distribution.size for j in net.junctions) + ends
+    widest_in = max(len(j.incoming) for j in net.junctions)
+    widest_out = max(len(j.outgoing) for j in net.junctions)
+    assert widest_in > 20
+    # four arrays of 8-byte entries per in-slot and per out-slot, one per
+    # routing entry; padding at most doubles that
+    real_bytes = 8 * (4 * real_in + 4 * real_out + real_routing)
+    assert _table_bytes(sim) <= 2 * real_bytes
+    assert sim._in_cell.size <= 2 * real_in
+    # one table padded to its widest row would hold this many
+    assert 10 * sim._routing.size < rows * widest_out * widest_in
 
 
 def test_invariant_breach_fails_loudly():

@@ -228,6 +228,12 @@ def detect_equilibrium(
     return float(times[first])
 
 
+def _ranges(starts, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[k] .. starts[k] + lengths[k] - 1, one after another."""
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return shift + np.arange(shift.size)
+
+
 def _router(routing: np.ndarray, gamma: np.ndarray, out: np.ndarray):
     """A call that routes B rows' admitted flux gamma (B, n_in) into out.
 
@@ -353,53 +359,53 @@ class Simulator:
 
         kinds = list(_junctions.KERNELS)
         kind = np.array([kinds.index(_junctions.classify(d)) for d in distributions], dtype=np.intp)
-        widths = np.array([[len(i) for i in incoming], [len(o) for o in outgoing]], dtype=np.intp)
-        # a width's class is ceil(log2(width)), but at least 2: 1 to 4, 5 to 8, 9 to 16, ...
-        n_in_class, n_out_class = np.maximum(np.frexp(widths - 1)[1], 2)
-        group = (kind * 64 + n_in_class) * 64 + n_out_class  # classes stay below 64
-        rows = np.argsort(group, kind="stable")
-        starts = np.flatnonzero(np.diff(group[rows], prepend=-1)).tolist()
-        # each row's first in-slot, out-slot and routing entry, and the
-        # stride of its routing rows, by row in network order
-        base = np.zeros((4, len(rows)), dtype=np.intp)
-        in_arcs, out_arcs, routings, layout = [], [], [], []
-        at = np.zeros(3, dtype=np.intp)  # where the next group starts in each flat array
+        n_in, n_out = widths = np.array([[len(i) for i in incoming], [len(o) for o in outgoing]], dtype=np.intp)
+        # width classes: 1 to 4, 5 to 8, 9 to 16, ...
+        width_class = np.zeros(widths.shape, dtype=np.intp)
+        bound = 4
+        while bound < widths.max():
+            width_class += widths > bound
+            bound *= 2
+        group = (kind * 64 + width_class[0]) * 64 + width_class[1]  # classes stay below 64
         # every valid network has a row: an arc is fed by a junction or a reservoir
-        for start, stop in zip(starts, starts[1:] + [len(rows)]):
-            members = rows[start:stop]
-            n_in, n_out = widths[:, members]
-            members = members.tolist()
-            in_slot = np.arange(n_in.max()) < n_in[:, None]
-            out_slot = np.arange(n_out.max()) < n_out[:, None]
-            arcs = np.full(in_slot.shape, n_arcs, dtype=np.intp)
-            # each row's incoming arcs, and its routing columns below, in priority order
-            arcs[in_slot] = [incoming[r][i] for r in members for i in orders[r]]
-            in_arcs.append(arcs.ravel())
-            arcs = np.full(out_slot.shape, n_arcs, dtype=np.intp)
-            arcs[out_slot] = [a for r in members for a in outgoing[r]]
-            out_arcs.append(arcs.ravel())
-            routing = np.zeros(out_slot.shape + in_slot.shape[1:])
-            real = out_slot[:, :, None] & in_slot[:, None, :]
-            # plain floats: a permuted array per junction would raise peak memory
-            routing[real] = [row[i] for r in members for row in distributions[r].tolist() for i in orders[r]]
-            name = kinds[kind[members[0]]]
-            if name == "merge":
-                routing[:, 0] = in_slot
-            routings.append(routing.ravel())
-            shape = routing.shape
-            base[:3, members] = at[:, None] + np.arange(len(members)) * [[shape[2]], [shape[1]], [shape[1] * shape[2]]]
-            base[3, members] = shape[2]
-            layout.append((name, shape, *at.tolist()))
-            at += [in_slot.size, out_slot.size, routing.size]
+        rows = np.argsort(group, kind="stable")
+        keys = group[rows].tolist()
+        starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
+        sorted_in, sorted_out = widths[:, rows].tolist()
+        # each row's first in-slot, out-slot and routing entry, and the
+        # stride of its routing rows, by row in network order; each group
+        # is (kind, rows, n_in, n_out) and where it starts in each flat array
+        base = np.empty((4, rows.size), dtype=np.intp)
+        layout, at = [], [0, 0, 0]
+        for a, b in zip(starts, starts[1:] + [len(keys)]):
+            w_in, w_out = max(sorted_in[a:b]), max(sorted_out[a:b])
+            step = [w_in, w_out, w_out * w_in]
+            base[:3, rows[a:b]] = np.array(at)[:, None] + np.array(step)[:, None] * np.arange(b - a)
+            base[3, rows[a:b]] = w_in
+            layout.append((kinds[keys[a] // 64**2], b - a, w_in, w_out, *at))
+            at = [x + (b - a) * y for x, y in zip(at, step)]
+
+        # padding is arc n_arcs, the dead cell; each row's incoming arcs,
+        # and its routing columns below, in priority order
+        in_arcs = np.full(at[0], n_arcs, dtype=np.intp)
+        in_arcs[_ranges(base[0], n_in)] = [incoming[r][i] for r, order in enumerate(orders) for i in order]
+        out_arcs = np.full(at[1], n_arcs, dtype=np.intp)
+        out_arcs[_ranges(base[1], n_out)] = [a for arcs in outgoing for a in arcs]
+        routing = np.zeros(at[2])
+        # row j of a routing matrix starts at its first entry + j * stride
+        row_at = np.repeat(base[2], n_out) + _ranges(0, n_out) * np.repeat(base[3], n_out)
+        real = _ranges(row_at, np.repeat(n_in, n_out))
+        # plain floats: a permuted array per junction would raise peak memory
+        routing[real] = [row[i] for d, order in zip(distributions, orders) for row in d.tolist() for i in order]
+        routing[real[np.repeat(kind == kinds.index("merge"), n_in * n_out)]] = 1.0
+        self._routing = routing
 
         slots = self.total_cells + np.arange(len(sources) + 2)
         scratch = np.full(slots.size, self.total_ifaces)
-        in_arcs, out_arcs = np.concatenate(in_arcs), np.concatenate(out_arcs)
         self._in_cell = np.concatenate([self._arc_last_cell, slots])[in_arcs]
         self._in_iface = np.concatenate([self.arc_last_iface, scratch])[in_arcs]
         self._out_cell = np.concatenate([self.arc_first_iface, slots])[out_arcs]
         self._out_iface = np.concatenate([self.arc_first_iface, scratch])[out_arcs]
-        self._routing = np.concatenate(routings)
         # the boundary totals sum in arc order
         self._inflow_iface = self.arc_first_iface[sources]
         self._outflow_iface = self.arc_last_iface[sinks]
@@ -435,19 +441,19 @@ class Simulator:
 
         # the slots each step gathers, solves and routes, the tracer's only
         # where there is one; a group reads and writes contiguous views
-        n_in, n_out = in_arcs.size, out_arcs.size
-        self._d, self._gamma = np.empty(n_in), np.empty(n_in)
-        self._s, self._routed = np.empty(n_out), np.empty(n_out)
-        self._per_in, self._routed_phi = (np.empty(n_in), np.empty(n_out)) if dyn.size else (None, None)
+        self._d, self._gamma = np.empty(in_arcs.size), np.empty(in_arcs.size)
+        self._s, self._routed = np.empty(out_arcs.size), np.empty(out_arcs.size)
+        tracer = (np.empty(in_arcs.size), np.empty(out_arcs.size)) if dyn.size else (None, None)
+        self._per_in, self._routed_phi = tracer
         self._groups, self._tracer_routes = [], []
-        for kind, (b, width_out, width_in), i, o, r in layout:
-            ins, outs = slice(i, i + b * width_in), slice(o, o + b * width_out)
-            routing = self._routing[r : r + b * width_out * width_in].reshape(b, width_out, width_in)
-            d, gamma = (a[ins].reshape(b, width_in) for a in (self._d, self._gamma))
-            s, routed = (a[outs].reshape(b, width_out) for a in (self._s, self._routed))
-            self._groups.append((_junctions.KERNELS[kind], d, s, routing, gamma, _router(routing, gamma, routed)))
+        for name, b, w_in, w_out, i, o, r in layout:
+            ins, outs = slice(i, i + b * w_in), slice(o, o + b * w_out)
+            routing = self._routing[r : r + b * w_out * w_in].reshape(b, w_out, w_in)
+            d, gamma = self._d[ins].reshape(b, w_in), self._gamma[ins].reshape(b, w_in)
+            s, routed = self._s[outs].reshape(b, w_out), self._routed[outs].reshape(b, w_out)
+            self._groups.append((_junctions.KERNELS[name], d, s, routing, gamma, _router(routing, gamma, routed)))
             if dyn.size:
-                per_in, routed = self._per_in[ins].reshape(b, width_in), self._routed_phi[outs].reshape(b, width_out)
+                per_in, routed = self._per_in[ins].reshape(b, w_in), self._routed_phi[outs].reshape(b, w_out)
                 self._tracer_routes.append(_router(routing, per_in, routed))
         bc_by_arc = {bc.arc_id: bc for bc in net.boundary_conditions}
         return [bc_by_arc[self.arc_ids[k]] for k in sources]
@@ -506,7 +512,8 @@ class Simulator:
         F = np.empty(self.total_ifaces + 1)
         np.minimum(demand[:-1], supply[1:], out=F[1:n])
 
-        # one gather, a kernel call and a routing per group, one scatter
+        # one gather, a kernel call and a routing per group, one scatter;
+        # take's clip mode skips a bounds check the layout makes needless
         self._routing[self._dyn_split] = state.exit_splits
         self._D.take(self._in_cell, out=self._d, mode="clip")
         self._S.take(self._out_cell, out=self._s, mode="clip")

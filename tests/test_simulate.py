@@ -492,7 +492,8 @@ def test_exit_splits_follow_the_scalar_rule_bitwise():
     net = exit_listed_second_roundabout(10)
     assert net.junction("J2").outgoing.index("S3") == 1
     assert net.junction("J4").exit_tracer == 0.0
-    # the mixed network's exit shares its padded table rows with a 1->3 diverge
+    # the mixed network's exit shares its group, padded to three outlets,
+    # with a 1->3 diverge
     for net, dynamic_ids in ((net, ["J2", "J4"]), (mixed_kind_network(), ["Jexit"])):
         sim = Simulator(net)
         dynamic = [j for j in net.junctions if j.coefficient_mode == "dynamic"]
@@ -719,9 +720,10 @@ def test_general_junctions_skip_the_lp():
 
 def test_every_in_degree_steps_without_the_lp():
     networks = (
-        # a 2x4, a 4x2 and a 16x4 general junction, padded to one width
+        # a 2x4 and a 4x2 general junction, padded to one 4x4 group, and
+        # a 16x4 one in a group of its own
         hub_network(16, 4, seed=5, upstream=ladder_network((2, 4, 2))),
-        # every kind, each padded to the widest junction of the table
+        # every kind, each group padded to its widest junction
         mixed_kind_network(),
     )
     for net in networks:
@@ -898,9 +900,9 @@ def test_tracer_mass_conserved_per_step_through_a_general_junction():
 
 
 def test_tracer_mass_conserved_per_step_through_a_padded_general_group():
-    # the exit's and the merge's outlets feed a 6x3 hub, which shares the
-    # general rows with the 2x2 junction, so tracer crosses the padding
-    net = hub_network(6, 3, seed=2, upstream=_exit_into_general())
+    # the exit's and the merge's outlets feed a 4x3 hub, whose width class
+    # the 2x2 junction shares, so tracer crosses that group's padding
+    net = hub_network(4, 3, seed=2, upstream=_exit_into_general())
     sim = Simulator(net)
     assert _tracer_mass_residuals(sim, net, 300).max() <= 1e-12
     # no padded write lands on a real interface: the entry of arc A, the

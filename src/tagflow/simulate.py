@@ -228,12 +228,6 @@ def detect_equilibrium(
     return float(times[first])
 
 
-def _ranges(starts, lengths: np.ndarray) -> np.ndarray:
-    """The ranges starts[k] .. starts[k] + lengths[k] - 1, one after another."""
-    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    return shift + np.arange(shift.size)
-
-
 def _router(routing: np.ndarray, gamma: np.ndarray, out: np.ndarray):
     """A call that routes B rows' admitted flux gamma (B, n_in) into out.
 
@@ -359,8 +353,9 @@ class Simulator:
 
         kinds = list(_junctions.KERNELS)
         kind = np.array([kinds.index(_junctions.classify(d)) for d in distributions], dtype=np.intp)
-        n_in, n_out = widths = np.array([[len(i) for i in incoming], [len(o) for o in outgoing]], dtype=np.intp)
-        # width classes: 1 to 4, 5 to 8, 9 to 16, ...
+        widths = np.array([[len(i) for i in incoming], [len(o) for o in outgoing]], dtype=np.intp)
+        n_in, n_out = widths
+        # width classes: 1 to 4, 5 to 8, 9 to 16, ..., counted by the bounds below a width
         width_class = np.zeros(widths.shape, dtype=np.intp)
         bound = 4
         while bound < widths.max():
@@ -371,34 +366,39 @@ class Simulator:
         rows = np.argsort(group, kind="stable")
         keys = group[rows].tolist()
         starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
-        sorted_in, sorted_out = widths[:, rows].tolist()
         # each row's first in-slot, out-slot and routing entry, and the
         # stride of its routing rows, by row in network order; each group
         # is (kind, rows, n_in, n_out) and where it starts in each flat array
         base = np.empty((4, rows.size), dtype=np.intp)
-        layout, at = [], [0, 0, 0]
+        in_arcs, out_arcs, routings, layout, at = [], [], [], [], [0, 0, 0]
         for a, b in zip(starts, starts[1:] + [len(keys)]):
-            w_in, w_out = max(sorted_in[a:b]), max(sorted_out[a:b])
-            step = [w_in, w_out, w_out * w_in]
-            base[:3, rows[a:b]] = np.array(at)[:, None] + np.array(step)[:, None] * np.arange(b - a)
-            base[3, rows[a:b]] = w_in
-            layout.append((kinds[keys[a] // 64**2], b - a, w_in, w_out, *at))
+            members = rows[a:b]
+            in_slot = np.arange(n_in[members].max()) < n_in[members, None]
+            out_slot = np.arange(n_out[members].max()) < n_out[members, None]
+            members = members.tolist()
+            # padding is arc n_arcs, the dead cell; each row's incoming
+            # arcs, and its routing columns below, in priority order
+            arcs = np.full(in_slot.shape, n_arcs, dtype=np.intp)
+            arcs[in_slot] = [incoming[r][i] for r in members for i in orders[r]]
+            in_arcs.append(arcs.ravel())
+            arcs = np.full(out_slot.shape, n_arcs, dtype=np.intp)
+            arcs[out_slot] = [o for r in members for o in outgoing[r]]
+            out_arcs.append(arcs.ravel())
+            routing = np.zeros(out_slot.shape + in_slot.shape[1:])
+            real = out_slot[:, :, None] & in_slot[:, None, :]
+            # plain floats: a permuted array per junction would raise peak memory
+            routing[real] = [row[i] for r in members for row in distributions[r].tolist() for i in orders[r]]
+            name = kinds[keys[a] // 64**2]
+            if name == "merge":
+                routing[:, 0] = in_slot
+            routings.append(routing.ravel())
+            step = [routing.shape[2], routing.shape[1], routing.shape[1] * routing.shape[2]]
+            base[:3, members] = np.array(at)[:, None] + np.array(step)[:, None] * np.arange(b - a)
+            base[3, members] = step[0]
+            layout.append((name, b - a, step[0], step[1], *at))
             at = [x + (b - a) * y for x, y in zip(at, step)]
-
-        # padding is arc n_arcs, the dead cell; each row's incoming arcs,
-        # and its routing columns below, in priority order
-        in_arcs = np.full(at[0], n_arcs, dtype=np.intp)
-        in_arcs[_ranges(base[0], n_in)] = [incoming[r][i] for r, order in enumerate(orders) for i in order]
-        out_arcs = np.full(at[1], n_arcs, dtype=np.intp)
-        out_arcs[_ranges(base[1], n_out)] = [a for arcs in outgoing for a in arcs]
-        routing = np.zeros(at[2])
-        # row j of a routing matrix starts at its first entry + j * stride
-        row_at = np.repeat(base[2], n_out) + _ranges(0, n_out) * np.repeat(base[3], n_out)
-        real = _ranges(row_at, np.repeat(n_in, n_out))
-        # plain floats: a permuted array per junction would raise peak memory
-        routing[real] = [row[i] for d, order in zip(distributions, orders) for row in d.tolist() for i in order]
-        routing[real[np.repeat(kind == kinds.index("merge"), n_in * n_out)]] = 1.0
-        self._routing = routing
+        in_arcs, out_arcs = np.concatenate(in_arcs), np.concatenate(out_arcs)
+        self._routing = np.concatenate(routings)
 
         slots = self.total_cells + np.arange(len(sources) + 2)
         scratch = np.full(slots.size, self.total_ifaces)
@@ -451,7 +451,8 @@ class Simulator:
             routing = self._routing[r : r + b * w_out * w_in].reshape(b, w_out, w_in)
             d, gamma = self._d[ins].reshape(b, w_in), self._gamma[ins].reshape(b, w_in)
             s, routed = self._s[outs].reshape(b, w_out), self._routed[outs].reshape(b, w_out)
-            self._groups.append((_junctions.KERNELS[name], d, s, routing, gamma, _router(routing, gamma, routed)))
+            route = _router(routing, gamma, routed)
+            self._groups.append((_junctions.KERNELS[name], d, s, routing, gamma, route))
             if dyn.size:
                 per_in, routed = self._per_in[ins].reshape(b, w_in), self._routed_phi[outs].reshape(b, w_out)
                 self._tracer_routes.append(_router(routing, per_in, routed))

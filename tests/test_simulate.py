@@ -317,6 +317,18 @@ def test_static_routing_is_one_read_only_view_per_junction():
     assert {j.coefficient_mode for j in net.junctions} == {"dynamic", "static"}
 
 
+def test_run_reads_each_junction_routing_back_from_its_group():
+    # hubs of every width class: each group has its own row stride
+    net = topic_network(60, 3)
+    res = Simulator(net).run(SimConfig(t_end=0.5))
+    for junc in net.junctions:
+        assert res.junction_arcs[junc.id] == (junc.incoming, junc.outgoing)
+        expected = junc.distribution
+        if classify(expected) == "merge":
+            expected = np.ones_like(expected)
+        assert res.coefficients[junc.id][-1].tobytes() == expected.tobytes(), junc.id
+
+
 def test_zero_inflow_run_detects_immediate_equilibrium():
     net = build_roundabout(0.5, 0.5, 0.0, 0.0, cells_per_arc=10)
     res = Simulator(net).run(SimConfig(t_end=10.0))
@@ -988,8 +1000,9 @@ def test_diamond_chain_table_is_two_groups_without_padded_in_slots(monkeypatch):
 
 
 def _table_bytes(sim):
-    slots = (sim._in_cell, sim._in_iface, sim._d, sim._gamma, sim._out_cell, sim._out_iface, sim._s, sim._routed)
-    return sum(a.nbytes for a in slots) + sim._routing.nbytes
+    in_slots = (sim._in_cell, sim._in_iface, sim._d, sim._gamma)
+    out_slots = (sim._out_cell, sim._out_iface, sim._s, sim._routed)
+    return sum(a.nbytes for a in in_slots + out_slots) + sim._routing.nbytes
 
 
 @pytest.mark.parametrize("n_topics", [60, 240])

@@ -366,15 +366,14 @@ class Simulator:
         rows = np.argsort(group, kind="stable")
         keys = group[rows].tolist()
         starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
-        # each row's first in-slot, out-slot and routing entry, and the
-        # stride of its routing rows, by row in network order; each group
-        # is (kind, rows, n_in, n_out) and where it starts in each flat array
-        base = np.empty((4, rows.size), dtype=np.intp)
+        # each group is (kind, rows, n_in, n_out) and where it starts in
+        # each flat array
         in_arcs, out_arcs, routings, layout, at = [], [], [], [], [0, 0, 0]
         for a, b in zip(starts, starts[1:] + [len(keys)]):
             members = rows[a:b]
-            in_slot = np.arange(n_in[members].max()) < n_in[members, None]
-            out_slot = np.arange(n_out[members].max()) < n_out[members, None]
+            group_in, group_out = widths[:, members, None]
+            in_slot = np.arange(group_in.max()) < group_in
+            out_slot = np.arange(group_out.max()) < group_out
             members = members.tolist()
             # padding is arc n_arcs, the dead cell; each row's incoming
             # arcs, and its routing columns below, in priority order
@@ -392,13 +391,19 @@ class Simulator:
             if name == "merge":
                 routing[:, 0] = in_slot
             routings.append(routing.ravel())
-            step = [routing.shape[2], routing.shape[1], routing.shape[1] * routing.shape[2]]
-            base[:3, members] = np.array(at)[:, None] + np.array(step)[:, None] * np.arange(b - a)
-            base[3, members] = step[0]
-            layout.append((name, b - a, step[0], step[1], *at))
-            at = [x + (b - a) * y for x, y in zip(at, step)]
+            layout.append((name, b - a, in_slot.shape[1], out_slot.shape[1], *at))
+            at = [at[0] + in_slot.size, at[1] + out_slot.size, at[2] + routing.size]
         in_arcs, out_arcs = np.concatenate(in_arcs), np.concatenate(out_arcs)
         self._routing = np.concatenate(routings)
+        # each row's padded n_in, n_out and routing size, in sorted order,
+        # whose running sums start its first in-slot, out-slot and routing
+        # entry; the padded n_in is the stride of its routing rows
+        _, counts, pad_in, pad_out, *_ = zip(*layout)
+        pads = np.repeat([pad_in, pad_out], counts, axis=1)
+        pads = np.concatenate([pads, pads[:1] * pads[1:]])
+        base = np.empty((4, rows.size), dtype=np.intp)
+        base[:3, rows] = pads.cumsum(axis=1) - pads
+        base[3, rows] = pads[0]
 
         slots = self.total_cells + np.arange(len(sources) + 2)
         scratch = np.full(slots.size, self.total_ifaces)

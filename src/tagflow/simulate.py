@@ -256,10 +256,10 @@ class Simulator:
     A step gathers every group's slots in one call, solves each group in
     one call to its kind's kernel in junctions.KERNELS, routes bulk and
     tracer flux by the same formula for every row, and scatters every
-    group's fluxes in one call.  Instances hold no
-    per-run state and may be shared across runs, but one SimState must
-    only ever be advanced by one thread at a time.  A Simulator keeps no
-    network: the cell layout, the junction ids, the table and the
+    group's fluxes in one call.  Instances hold no per-run state and
+    may be shared across runs, but one SimState must only ever be
+    advanced by one thread at a time.  A Simulator keeps no network:
+    the cell layout, the junction ids, the table and the
     initial splits are copied when it is built, and states, steps, cell
     centres and run results read only those copies, so a later edit of
     the network changes none of them.

@@ -927,7 +927,7 @@ def test_tracer_mass_conserved_per_step_through_a_padded_general_group():
     assert snap.tracer_fluxes[entry] == snap.fluxes[entry] * 0.6 > 0.0
 
 
-def _snapshot(sim, fluxes, tracer_fluxes=None, exit_splits=None):
+def _snapshot(fluxes, tracer_fluxes=None, exit_splits=None):
     return FluxSnapshot(fluxes, tracer_fluxes, exit_splits, inflow_total=0.0, outflow_total=0.0)
 
 
@@ -947,7 +947,7 @@ def test_one_sided_density_clip_equals_the_two_sided_clip(model):
         unclipped = state.rho - np.diff(fluxes) * 0.5
         assert unclipped[0] == top and np.signbit(unclipped[1])
         assert (top < unclipped[2] <= top + DENSITY_TOL) == above
-        new = sim.apply(state, _snapshot(sim, fluxes), dt)
+        new = sim.apply(state, _snapshot(fluxes), dt)
         assert new.rho.tobytes() == np.minimum(np.maximum(unclipped, 0.0), top).tobytes()
         assert new.rho[0] == top and not np.signbit(new.rho[1])
 
@@ -962,7 +962,7 @@ def test_one_sided_tracer_clip_equals_the_two_sided_clip():
         state = sim.init_state()
         state.rho[:] = 0.5
         state.phi[:3] = [1.0, -0.0, 1.0 + 1e-10 if above else 0.25]
-        snap = _snapshot(sim, zeros, zeros, state.exit_splits.copy())
+        snap = _snapshot(zeros, zeros, state.exit_splits.copy())
         new = sim.apply(state, snap, sim.stable_dt(0.5))
         assert new.rho.tobytes() == state.rho.tobytes()
         assert new.phi.tobytes() == np.minimum(np.maximum(state.phi, 0.0), 1.0).tobytes()
@@ -985,8 +985,8 @@ def test_diamond_chain_table_is_two_groups_without_padded_in_slots(monkeypatch):
     calls = _count_kernel_rows(monkeypatch)
     sim = Simulator(build_diamond_chain(2000, 25))
     # 667 1->2 splits, the reservoir's and the sink's 1->1 rows, 667
-    # 2->1 merges: 2003 in-slots, where one table of 1336 rows padded to
-    # two incoming arcs had 2672, and none of them is padding
+    # 2->1 merges: 2003 in-slots, none of them padding, where one table
+    # of 1336 rows padded to two incoming arcs would hold 2672
     assert sim._in_cell.size == 669 + 2 * 667 == 2003
     assert not np.any(sim._in_cell == sim.total_cells)
     assert sim._out_cell.size == 2 * 669 + 667

@@ -354,7 +354,6 @@ class Simulator:
         kinds = list(_junctions.KERNELS)
         kind = np.array([kinds.index(_junctions.classify(d)) for d in distributions], dtype=np.intp)
         widths = np.array([[len(i) for i in incoming], [len(o) for o in outgoing]], dtype=np.intp)
-        n_in, n_out = widths
         # width classes: 1 to 4, 5 to 8, 9 to 16, ..., counted by the bounds below a width
         width_class = np.zeros(widths.shape, dtype=np.intp)
         bound = 4

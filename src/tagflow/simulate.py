@@ -366,8 +366,11 @@ class Simulator:
         keys = group[rows].tolist()
         starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
         # each group is (kind, rows, n_in, n_out) and where it starts in
-        # each flat array
+        # each flat array; base holds each row's first in-slot, out-slot
+        # and routing entry, and the stride of its routing rows, by row
+        # in network order
         in_arcs, out_arcs, routings, layout, at = [], [], [], [], [0, 0, 0]
+        base = np.empty((4, rows.size), dtype=np.intp)
         for a, b in zip(starts, starts[1:] + [len(keys)]):
             members = rows[a:b]
             group_in, group_out = widths[:, members, None]
@@ -391,18 +394,13 @@ class Simulator:
                 routing[:, 0] = in_slot
             routings.append(routing.ravel())
             layout.append((name, b - a, in_slot.shape[1], out_slot.shape[1], *at))
-            at = [at[0] + in_slot.size, at[1] + out_slot.size, at[2] + routing.size]
+            place, steps = np.arange(b - a), (in_slot.shape[1], out_slot.shape[1], routing[0].size)
+            for k in range(3):
+                base[k, members] = at[k] + steps[k] * place
+            base[3, members] = steps[0]
+            at = [at[k] + (b - a) * steps[k] for k in range(3)]
         in_arcs, out_arcs = np.concatenate(in_arcs), np.concatenate(out_arcs)
         self._routing = np.concatenate(routings)
-        # each row's padded n_in, n_out and routing size, in sorted order,
-        # whose running sums start its first in-slot, out-slot and routing
-        # entry; the padded n_in is the stride of its routing rows
-        _, counts, pad_in, pad_out, *_ = zip(*layout)
-        pads = np.repeat([pad_in, pad_out], counts, axis=1)
-        pads = np.concatenate([pads, pads[:1] * pads[1:]])
-        base = np.empty((4, rows.size), dtype=np.intp)
-        base[:3, rows] = pads.cumsum(axis=1) - pads
-        base[3, rows] = pads[0]
 
         slots = self.total_cells + np.arange(len(sources) + 2)
         scratch = np.full(slots.size, self.total_ifaces)

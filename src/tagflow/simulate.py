@@ -17,7 +17,7 @@ Simulator.step is the two phases in turn.
 
 The state is arrays only: density and tracer per cell, one exit split
 per dynamic junction.  Every arc end is a row of one junction table,
-solved by one kernel call per kind: a reservoir's row admits
+solved by one kernel call per group: a reservoir's row admits
 min(reservoir demand, first-cell supply) into its source arc, and a
 sink arc sends its last cell's demand to an outlet of infinite supply.
 Simulator.run is the one time loop.
@@ -33,7 +33,6 @@ contribute to mixtures.
 
 from __future__ import annotations
 
-import functools
 import math
 import time as _time
 from dataclasses import dataclass
@@ -228,17 +227,6 @@ def detect_equilibrium(
     return float(times[first])
 
 
-def _router(routing: np.ndarray, gamma: np.ndarray, out: np.ndarray):
-    """A call that routes B rows' admitted flux gamma (B, n_in) into out.
-
-    out is (B, n_out), routing (B, n_out, n_in).  A one-in row's routing
-    is a column, so a product routes it.
-    """
-    if routing.shape[2] == 1:
-        return functools.partial(np.multiply, routing[:, :, 0], gamma, out=out)
-    return functools.partial(np.einsum, "bji,bi->bj", routing, gamma, out=out)
-
-
 def _state_bytes(state: SimState) -> list[bytes]:
     """The state's arrays as raw bytes, equal exactly when their bits are.
 
@@ -254,21 +242,20 @@ class Simulator:
     junction, reservoir and sink end as one row of one table, in groups
     of one kind and width class, each padded only to its own widest row.
     A step gathers every group's slots in one call, solves each group in
-    one call to its kind's kernel in junctions.KERNELS, routes bulk and
-    tracer flux by the same formula for every row, and scatters every
-    group's fluxes in one call.  Instances hold no per-run state and
-    may be shared across runs, but one SimState must only ever be
-    advanced by one thread at a time.  A Simulator keeps no network:
-    the cell layout, the junction ids, the table and the
-    initial splits are copied when it is built, and states, steps, cell
-    centres and run results read only those copies, so a later edit of
-    the network changes none of them.
+    one call to its kind's kernel in junctions.KERNELS, routes the bulk
+    flux, and then the tracer's, in one call over every row's real
+    routing entries, and scatters every group's fluxes in one call.
+    Instances hold no per-run state and may be shared across runs, but
+    one SimState must only ever be advanced by one thread at a time.  A
+    Simulator keeps no network: the cell layout, the junction ids, the
+    table and the initial splits are copied when it is built, and
+    states, steps, cell centres and run results read only those copies,
+    so a later edit of the network changes none of them.
 
     Work buffers: demand and supply over the cells and the reservoir
-    and outlet slots, the table's gathered demands and supplies, admitted
-    and routed fluxes, and the cells' flux differences; only a network
-    with a tracer adds the clipped tracer, over the cells and slots, and
-    the table's tracer fluxes.
+    and outlet slots, the table's gathered demands and supplies and
+    admitted fluxes, and the cells' flux differences; only a network with
+    a tracer adds the clipped tracer, over the cells and slots.
     """
 
     def __init__(self, net: Network):
@@ -301,7 +288,8 @@ class Simulator:
         # non-reentrant, so a Simulator must not step from two threads
         # the cells and the dead cell, then the reservoirs and the outlet
         head = np.zeros(self.total_cells + 1)
-        self._D = np.concatenate([head, [self.model.demand(bc.rho_bar) for bc in reservoirs], [0.0]])
+        rho_bar = np.array([bc.rho_bar for bc in reservoirs])
+        self._D = np.concatenate([head, self.model.demand(rho_bar), [0.0]])
         self._S = np.concatenate([head, np.zeros(len(reservoirs)), [np.inf]])
         tracer = [bc.tracer_in for bc in reservoirs]
         self._phi = np.concatenate([head, tracer, [0.0]]) if self._dyn_ids else None
@@ -335,6 +323,9 @@ class Simulator:
         Each group reads its entries as contiguous (B, n_in), (B, n_out)
         and (B, n_out, n_in) views.  Padding points at the dead cell,
         whose demand, supply and tracer stay 0, and the scratch interface.
+        The real routing entries, a row's own arcs, are listed once by row,
+        out-slot, then priority column: e_r, e_in and e_out hold each
+        one's flat routing index, in-slot and out-slot, which _route reads.
         The dynamic exits are diverge rows; exit_splits lists them in
         network order.
         """
@@ -365,12 +356,8 @@ class Simulator:
         rows = np.argsort(group, kind="stable")
         keys = group[rows].tolist()
         starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
-        # each group is (kind, rows, n_in, n_out) and where it starts in
-        # each flat array; base holds each row's first in-slot, out-slot
-        # and routing entry, and the stride of its routing rows, by row
-        # in network order
-        in_arcs, out_arcs, routings, layout, at = [], [], [], [], [0, 0, 0]
-        base = np.empty((4, rows.size), dtype=np.intp)
+        # each group is (kind, rows, n_in, n_out)
+        in_arcs, out_arcs, routings, entries, layout = [], [], [], [], []
         for a, b in zip(starts, starts[1:] + [len(keys)]):
             members = rows[a:b]
             group_in, group_out = widths[:, members, None]
@@ -393,14 +380,25 @@ class Simulator:
             if name == "merge":
                 routing[:, 0] = in_slot
             routings.append(routing.ravel())
-            layout.append((name, b - a, in_slot.shape[1], out_slot.shape[1], *at))
-            place, steps = np.arange(b - a), (in_slot.shape[1], out_slot.shape[1], routing[0].size)
-            for k in range(3):
-                base[k, members] = at[k] + steps[k] * place
-            base[3, members] = steps[0]
-            at = [at[k] + (b - a) * steps[k] for k in range(3)]
+            # its real routing entries by row, out-slot, then priority column
+            entries.append(np.nonzero(real))
+            layout.append((name, b - a, in_slot.shape[1], out_slot.shape[1]))
         in_arcs, out_arcs = np.concatenate(in_arcs), np.concatenate(out_arcs)
         self._routing = np.concatenate(routings)
+        # by row in table order: its group's widths, then its first
+        # in-slot, out-slot and routing entry
+        pad_in, pad_out = np.repeat([g[2:] for g in layout], [g[1] for g in layout], axis=0).T
+        sizes = np.array([pad_in, pad_out, pad_in * pad_out])
+        first = np.cumsum(sizes, axis=1) - sizes
+        # each real entry's in-slot, out-slot and flat routing index
+        row, out_col, in_col = (np.concatenate(e) for e in zip(*entries))
+        row += np.repeat(starts, [e[0].size for e in entries])
+        self._e_in = first[0, row] + in_col
+        self._e_out = first[1, row] + out_col
+        self._e_r = first[2, row] + out_col * pad_in[row] + in_col
+        # by row in network order: its first in-slot, out-slot and routing
+        # entry, and the stride of its routing rows
+        base = np.array([*first, pad_in])[:, np.argsort(rows)]
 
         slots = self.total_cells + np.arange(len(sources) + 2)
         scratch = np.full(slots.size, self.total_ifaces)
@@ -441,23 +439,17 @@ class Simulator:
         self._dyn_exit_iface = self._out_iface[out_at + exit_col]
         self._dyn_other_iface = self._out_iface[out_at + 1 - exit_col]
 
-        # the slots each step gathers, solves and routes, the tracer's only
-        # where there is one; a group reads and writes contiguous views
+        # the slots each step gathers and solves; a group reads and writes
+        # contiguous views
         self._d, self._gamma = np.empty(in_arcs.size), np.empty(in_arcs.size)
-        self._s, self._routed = np.empty(out_arcs.size), np.empty(out_arcs.size)
-        tracer = (np.empty(in_arcs.size), np.empty(out_arcs.size)) if dyn.size else (None, None)
-        self._per_in, self._routed_phi = tracer
-        self._groups, self._tracer_routes = [], []
-        for name, b, w_in, w_out, i, o, r in layout:
+        self._s = np.empty(out_arcs.size)
+        self._groups = []
+        for (name, b, w_in, w_out), (i, o, r) in zip(layout, first[:, starts].T.tolist()):
             ins, outs = slice(i, i + b * w_in), slice(o, o + b * w_out)
             routing = self._routing[r : r + b * w_out * w_in].reshape(b, w_out, w_in)
             d, gamma = self._d[ins].reshape(b, w_in), self._gamma[ins].reshape(b, w_in)
-            s, routed = self._s[outs].reshape(b, w_out), self._routed[outs].reshape(b, w_out)
-            route = _router(routing, gamma, routed)
-            self._groups.append((_junctions.KERNELS[name], d, s, routing, gamma, route))
-            if dyn.size:
-                per_in, routed = self._per_in[ins].reshape(b, w_in), self._routed_phi[outs].reshape(b, w_out)
-                self._tracer_routes.append(_router(routing, per_in, routed))
+            s = self._s[outs].reshape(b, w_out)
+            self._groups.append((_junctions.KERNELS[name], d, s, routing, gamma))
         bc_by_arc = {bc.arc_id: bc for bc in net.boundary_conditions}
         return [bc_by_arc[self.arc_ids[k]] for k in sources]
 
@@ -515,16 +507,15 @@ class Simulator:
         F = np.empty(self.total_ifaces + 1)
         np.minimum(demand[:-1], supply[1:], out=F[1:n])
 
-        # one gather, a kernel call and a routing per group, one scatter;
+        # one gather, a kernel call per group, one routing, one scatter;
         # take's clip mode skips a bounds check the layout makes needless
         self._routing[self._dyn_split] = state.exit_splits
         self._D.take(self._in_cell, out=self._d, mode="clip")
         self._S.take(self._out_cell, out=self._s, mode="clip")
-        for kernel, d, s, routing, gamma, route in self._groups:
+        for kernel, d, s, routing, gamma in self._groups:
             gamma[...] = kernel(d, s, routing)
-            route()
         F[self._in_iface] = self._gamma
-        F[self._out_iface] = self._routed
+        F[self._out_iface] = self._route(self._gamma)
 
         Fphi = splits = None
         if state.phi is not None:
@@ -544,6 +535,17 @@ class Simulator:
             outflow_total=float(np.add.reduce(F[self._outflow_iface])),
         )
 
+    def _route(self, per_in: np.ndarray) -> np.ndarray:
+        """Flux per out-slot: routing times per_in over the real entries.
+
+        An out-slot adds its row's incoming arcs one at a time, in priority
+        order from 0.0, so its bits do not depend on the row's group or
+        padding.  A padded out-slot gets 0.
+        """
+        w = self._routing.take(self._e_r, mode="clip")
+        np.multiply(w, per_in.take(self._e_in, mode="clip"), out=w)
+        return np.bincount(self._e_out, weights=w, minlength=self._s.size)
+
     def _tracer_fluxes(self, state: SimState, F: np.ndarray) -> np.ndarray:
         """Tracer mass flux per interface, the scratch interface last.
 
@@ -560,12 +562,9 @@ class Simulator:
         Fphi = np.empty(self.total_ifaces + 1)
         np.multiply(F[1:n], cells[:-1], out=Fphi[1:n])
 
-        per_in = phi.take(self._in_cell, out=self._per_in, mode="clip")
-        np.multiply(self._gamma, per_in, out=per_in)
+        per_in = self._gamma * phi.take(self._in_cell, mode="clip")
         Fphi[self._in_iface] = per_in
-        for route in self._tracer_routes:
-            route()
-        Fphi[self._out_iface] = np.minimum(self._routed_phi, F[self._out_iface])
+        Fphi[self._out_iface] = np.minimum(self._route(per_in), F[self._out_iface])
 
         m = F[self._dyn_in_iface] * phi[self._dyn_in_cell]
         bulk_exit = F[self._dyn_exit_iface]

@@ -172,28 +172,32 @@ def random_network(rng: np.random.Generator, model: FluxModel | None = None) -> 
     return Network(model=model, arcs=arcs, junctions=junctions, boundary_conditions=bcs)
 
 
-def hub_network(n_in: int, n_out: int, seed: int = 0, upstream: Network | None = None) -> Network:
+def hub_network(
+    n_in: int, n_out: int, seed: int = 0, upstream: Network | None = None, prefix: str = ""
+) -> Network:
     """One static junction taking n_in arcs into n_out draining arcs.
 
     The hub's incoming arcs are fed by reservoirs; with an upstream
     network, that network's draining arcs feed the hub instead, as its
     first incoming arcs, and the result holds both.  Routing columns,
     priorities and entry densities (0.2 to 0.5) are seeded, so a hub
-    with several times more entries than outlets is supply-bound.
+    with several times more entries than outlets is supply-bound.  The
+    prefix goes before the hub's own arc and junction ids, so that a
+    hub can feed another built from the same recipe.
     """
     rng = np.random.default_rng(seed)
     arcs = [] if upstream is None else [replace(a) for a in upstream.arcs]
     fed = [a for a in arcs if a.kind == "external_out"]
     for arc in fed:
         arc.kind = "generic"
-    sources = [f"H{k}" for k in range(n_in - len(fed))]
-    outs = [f"Q{k}" for k in range(n_out)]
+    sources = [f"{prefix}H{k}" for k in range(n_in - len(fed))]
+    outs = [f"{prefix}Q{k}" for k in range(n_out)]
     arcs += [Arc(a, 0.0, 1.0, 5, "external_in") for a in sources]
     arcs += [Arc(a, 0.0, 1.0, 5, "external_out") for a in outs]
     distribution = rng.uniform(0.1, 1.0, (n_out, n_in))
     priority = rng.uniform(0.1, 1.0, n_in)
     hub = Junction(
-        "HUB",
+        f"{prefix}HUB",
         [a.id for a in fed] + sources,
         outs,
         distribution / distribution.sum(axis=0),

@@ -113,6 +113,15 @@ def test_demand_and_supply_of_a_scalar_is_two_floats(model):
             assert np.float64(supply).tobytes() == np.float64(model.supply(rho)).tobytes()
 
 
+@pytest.mark.parametrize("model", [UNIT, FluxModel(0.7, 0.3)], ids=["slope-1", "slope-7/3"])
+def test_demand_of_an_array_equals_the_scalar_calls_bitwise(model):
+    # the Simulator fills every reservoir's demand with one array call
+    rng = np.random.default_rng(11)
+    rho = np.concatenate([rng.uniform(0.0, model.rho_max, 10**4), [0.0, model.sigma, model.rho_max]])
+    scalar = np.array([model.demand(r) for r in rho.tolist()])
+    assert model.demand(rho).tobytes() == scalar.tobytes()
+
+
 @given(rho=densities)
 def test_flux_is_density_times_velocity(rho):
     # exact: both sides multiply the same two floats

@@ -999,10 +999,44 @@ def test_diamond_chain_table_is_two_groups_without_padded_in_slots(monkeypatch):
         ] * step
 
 
+@pytest.mark.parametrize(
+    "network, per_step",
+    [
+        ("diamond-chain", 1),
+        ("topics", 1),
+        ("roundabout", 2),
+        ("mixed", 2),
+    ],
+)
+def test_each_step_routes_in_one_call_per_flux(monkeypatch, network, per_step):
+    # bulk, then tracer where there is one, whatever the number of groups
+    net = {
+        "diamond-chain": lambda: build_diamond_chain(40, 5),
+        "topics": lambda: topic_network(60, 3),
+        "roundabout": lambda: build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01),
+        "mixed": mixed_kind_network,
+    }[network]()
+    calls = []
+    route = Simulator._route
+
+    def counted(self, per_in):
+        calls.append(per_in is self._gamma)
+        return route(self, per_in)
+
+    monkeypatch.setattr(Simulator, "_route", counted)
+    sim = Simulator(net)
+    assert len(sim._groups) >= 2
+    state = sim.init_state()
+    for _ in range(3):
+        state = sim.step(state, sim.stable_dt(0.5))
+    assert calls == [True, False][:per_step] * 3
+
+
 def _table_bytes(sim):
     in_slots = (sim._in_cell, sim._in_iface, sim._d, sim._gamma)
-    out_slots = (sim._out_cell, sim._out_iface, sim._s, sim._routed)
-    return sum(a.nbytes for a in in_slots + out_slots) + sim._routing.nbytes
+    out_slots = (sim._out_cell, sim._out_iface, sim._s)
+    entries = (sim._routing, sim._e_r, sim._e_in, sim._e_out)
+    return sum(a.nbytes for a in in_slots + out_slots + entries)
 
 
 @pytest.mark.parametrize("n_topics", [60, 240])
@@ -1018,13 +1052,51 @@ def test_topic_table_grows_with_its_real_slots(n_topics):
     widest_in = max(len(j.incoming) for j in net.junctions)
     widest_out = max(len(j.outgoing) for j in net.junctions)
     assert widest_in > 20
-    # four arrays of 8-byte entries per in-slot and per out-slot, one per
-    # routing entry; padding at most doubles that
-    real_bytes = 8 * (4 * real_in + 4 * real_out + real_routing)
+    # 8-byte entries: four arrays per in-slot, three per out-slot, and per
+    # routing entry its coefficient and its three indices; padding at most
+    # doubles that
+    real_bytes = 8 * (4 * real_in + 3 * real_out + 4 * real_routing)
     assert _table_bytes(sim) <= 2 * real_bytes
     assert sim._in_cell.size <= 2 * real_in
     # one table padded to its widest row would hold this many
     assert 10 * sim._routing.size < rows * widest_out * widest_in
+
+
+ROUTED_NETWORKS = {
+    "topics": lambda: topic_network(60, 3, seed=7),
+    # a 20-in hub alone, then the same hub beside a 30-in hub in the
+    # same width class, where its row is padded to 30
+    "hub-alone": lambda: hub_network(20, 3, seed=1),
+    "hub-beside": lambda: hub_network(30, 3, seed=2, upstream=hub_network(20, 3, seed=1, prefix="A")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED_NETWORKS))
+def test_routed_flux_is_the_sequential_sum_in_priority_order(name):
+    # every outgoing first-face flux is acc = 0.0; acc += r * g over the
+    # junction's incoming arcs in priority order, read off the snapshot's
+    # admitted fluxes, whatever the row's group or padding
+    net = ROUTED_NETWORKS[name]()
+    sim = Simulator(net)
+    state = sim.init_state()
+    state.rho[:] = np.random.default_rng(7).uniform(0.0, 1.0, sim.total_cells)
+    # a few steps into the transient, where every kind of row is busy
+    for _ in range(5):
+        state = sim.step(state, sim.stable_dt(0.5))
+    fluxes = sim.compute_fluxes(state).fluxes.tolist()
+    arc = {arc_id: k for k, arc_id in enumerate(sim.arc_ids)}
+    widest = 0
+    for j in net.junctions:
+        order = priority_order(j.priority)
+        merge = classify(j.distribution) == "merge"
+        admitted = [fluxes[sim.total_cells + arc[a]] for a in j.incoming]
+        for o, out_arc in enumerate(j.outgoing):
+            acc = 0.0
+            for i in order:
+                acc += (1.0 if merge else float(j.distribution[o, i])) * admitted[i]
+            assert fluxes[sim.arc_first_iface[arc[out_arc]]] == acc, (j.id, out_arc)
+        widest = max(widest, len(j.incoming))
+    assert widest >= 20
 
 
 def test_invariant_breach_fails_loudly():

@@ -10,6 +10,7 @@ numbers are comparable across machines.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .flux import FluxModel
@@ -28,6 +29,7 @@ class BenchReport:
     total_cells: int
     steps: int
     dt: float
+    setup_time_s: float
     wall_time_s: float
     cell_updates_per_s: float
     mass_residual: float
@@ -82,13 +84,16 @@ def run_bench(n_arcs: int, cells_per_arc: int, steps: int) -> BenchReport:
 
     t_end is steps * dt, so the run takes exactly that many steps, with
     no profiles recorded.  Wall time covers the run's stepping loop
-    only, not network construction.  The conservation tolerance scales
-    with accumulated round-off, max(1e-10, 1e-15 * cells * steps).
+    only; set-up time covers building the chain and its Simulator.  The
+    conservation tolerance scales with accumulated round-off,
+    max(1e-10, 1e-15 * cells * steps).
     """
     if steps < 1:
         raise InvalidInputError("steps must be positive")
+    start = time.perf_counter()
     net = build_diamond_chain(n_arcs, cells_per_arc)
     sim = Simulator(net)
+    setup_time_s = time.perf_counter() - start
     dt = sim.stable_dt(0.5)
     summary = sim.run(SimConfig(t_end=steps * dt, cfl_number=0.5, record_profiles=False)).summary
     total_cells = summary["cells"]
@@ -100,6 +105,7 @@ def run_bench(n_arcs: int, cells_per_arc: int, steps: int) -> BenchReport:
         total_cells=total_cells,
         steps=summary["steps"],
         dt=dt,
+        setup_time_s=setup_time_s,
         wall_time_s=summary["wall_time_s"],
         cell_updates_per_s=summary["cell_updates_per_s"],
         mass_residual=summary["mass_residual"],

@@ -143,7 +143,7 @@ def _cmd_bench(args) -> int:
         f"total cells: {report.total_cells}"
     )
     print(f"steps: {report.steps}, dt: {report.dt:g}")
-    print(f"wall time: {report.wall_time_s:.3f} s")
+    print(f"wall time: {report.wall_time_s:.3f} s (set-up {report.setup_time_s:.3f} s)")
     print(f"cell updates/s: {report.cell_updates_per_s:.3e}")
     status = "ok" if report.conservation_ok else "VIOLATED"
     print(

@@ -53,6 +53,11 @@ _COLUMN_TOL = 1e-9
 _MAX_INTERFACES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 # Characters an id may not hold: the CSV output writes ids unquoted.
 _CSV_SPECIAL = frozenset(',"\r\n')
+# Closes each list of arrays to concatenate, so an empty list concatenates.
+_NO_ENTRIES = np.zeros(0)
+# np.array's copy argument that copies only when it must: None from
+# numpy 2.0, False before it (where None is refused)
+_IF_NEEDED = None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
 
 
 class InvalidInputError(ValueError):
@@ -111,12 +116,10 @@ class Junction:
     def __post_init__(self):
         self.incoming = list(self.incoming)
         self.outgoing = list(self.outgoing)
-        self.distribution = np.atleast_2d(np.asarray(self.distribution, dtype=float))
+        self.distribution = np.array(self.distribution, dtype=float, copy=_IF_NEEDED, ndmin=2)
         if self.priority is None:
-            n = max(len(self.incoming), 1)
-            self.priority = np.full(len(self.incoming), 1.0 / n)
-        else:
-            self.priority = np.atleast_1d(np.asarray(self.priority, dtype=float))
+            self.priority = [1.0 / max(len(self.incoming), 1)] * len(self.incoming)
+        self.priority = np.array(self.priority, dtype=float, copy=_IF_NEEDED, ndmin=1)
 
 
 @dataclass
@@ -171,7 +174,16 @@ class Network:
         return [a.id for a in self.arcs if a.id not in drained]
 
     def validate(self) -> list[str]:
-        """Return the list of violated invariants; empty means valid."""
+        """Return the list of violated invariants; empty means valid.
+
+        Every junction's numbers, its distribution's shape, entries and
+        column masses and its priority's length, entries and sum, are
+        judged first, in one pass over all junctions (_number_faults).
+        Only a junction that fails there runs the code that words its
+        faults, so each report keeps its text and its place.  The ids,
+        the arc references and the connectivity are checked arc by arc
+        and junction by junction.
+        """
         errors: list[str] = []
         position: dict[str, int] = {}  # arc id -> index of its first arc
         for k, arc in enumerate(self.arcs):
@@ -207,7 +219,7 @@ class Network:
         anchor: dict[str, int] = {}
         used_as_in: dict[str, int] = {}
         used_as_out: dict[str, int] = {}
-        for junc in self.junctions:
+        for junc, faulty in zip(self.junctions, _number_faults(self.junctions)):
             if junc.id in seen_j:
                 errors.append(f"junction {junc.id}: duplicate id")
             seen_j.add(junc.id)
@@ -227,34 +239,35 @@ class Network:
             if not n_in or not n_out:
                 errors.append(f"junction {junc.id}: needs at least one incoming and one outgoing arc")
 
-            if junc.distribution.shape != (n_out, n_in):
-                errors.append(
-                    f"junction {junc.id}: distribution shape {junc.distribution.shape} "
-                    f"does not match ({n_out}, {n_in})"
-                )
-            else:
-                entries = [x for row in junc.distribution.tolist() for x in row]
-                if not all(map(math.isfinite, entries)):
-                    errors.append(f"junction {junc.id}: non-finite distribution entry")
+            if faulty:
+                if junc.distribution.shape != (n_out, n_in):
+                    errors.append(
+                        f"junction {junc.id}: distribution shape {junc.distribution.shape} "
+                        f"does not match ({n_out}, {n_in})"
+                    )
                 else:
-                    if min(entries, default=0.0) < 0.0:
-                        errors.append(f"junction {junc.id}: negative distribution entry")
-                    for i in range(n_in):
-                        total = sum(entries[i::n_in])  # column i, in row order
-                        if abs(total - 1.0) > _COLUMN_TOL:
-                            errors.append(
-                                f"junction {junc.id}: distribution column {i} mass {total:g} != 1"
-                            )
-            weights = junc.priority.tolist()
-            if junc.priority.shape != (n_in,):
-                errors.append(f"junction {junc.id}: priority length != incoming arcs")
-            elif not all(map(math.isfinite, weights)):
-                errors.append(f"junction {junc.id}: non-finite priority weight")
-            elif n_in:
-                if min(weights) < -1e-12 or max(weights) > 1.0 + 1e-12:
-                    errors.append(f"junction {junc.id}: priority weights outside [0, 1]")
-                if abs(sum(weights) - 1.0) > _COLUMN_TOL:
-                    errors.append(f"junction {junc.id}: priority weights must sum to 1")
+                    entries = [x for row in junc.distribution.tolist() for x in row]
+                    if not all(map(math.isfinite, entries)):
+                        errors.append(f"junction {junc.id}: non-finite distribution entry")
+                    else:
+                        if min(entries, default=0.0) < 0.0:
+                            errors.append(f"junction {junc.id}: negative distribution entry")
+                        for i in range(n_in):
+                            total = sum(entries[i::n_in])  # column i, in row order
+                            if abs(total - 1.0) > _COLUMN_TOL:
+                                errors.append(
+                                    f"junction {junc.id}: distribution column {i} mass {total:g} != 1"
+                                )
+                weights = junc.priority.tolist()
+                if junc.priority.shape != (n_in,):
+                    errors.append(f"junction {junc.id}: priority length != incoming arcs")
+                elif not all(map(math.isfinite, weights)):
+                    errors.append(f"junction {junc.id}: non-finite priority weight")
+                elif n_in:
+                    if min(weights) < -1e-12 or max(weights) > 1.0 + 1e-12:
+                        errors.append(f"junction {junc.id}: priority weights outside [0, 1]")
+                    if abs(sum(weights) - 1.0) > _COLUMN_TOL:
+                        errors.append(f"junction {junc.id}: priority weights must sum to 1")
 
             if junc.coefficient_mode not in ("static", "dynamic"):
                 errors.append(f"junction {junc.id}: unknown coefficient_mode {junc.coefficient_mode!r}")
@@ -304,6 +317,39 @@ class Network:
         if components > 1:
             errors.append(f"graph is not connected ({components} components)")
         return errors
+
+
+def _number_faults(junctions: list[Junction]) -> list[bool]:
+    """Whether each junction's distribution or priority may fail a check of validate.
+
+    Judges every junction's numbers in one pass over their concatenated
+    entries.  A junction fails when its distribution's shape or its
+    priority's length is wrong, when an entry of either is NaN or lies
+    outside [0, 1 + 1e-12], or when a column's mass or the priority's
+    sum is off 1 by more than _COLUMN_TOL.  That takes in every junction
+    validate reports a number of, and a few it passes: a priority weight
+    in [-1e-12, 0), a distribution entry just above 1, a priority of no
+    weights.  bincount adds its weights in order, so a column's mass is
+    summed in row order and a priority's weights one by one from 0, as
+    validate sums them: a sum at 1 within a rounding of the tolerance
+    gets the same verdict.
+    """
+    n_in = [len(j.incoming) for j in junctions]
+    n_out = [len(j.outgoing) for j in junctions]
+    faulty = [j.distribution.shape != (o, i) or j.priority.shape != (i,) for j, o, i in zip(junctions, n_out, n_in)]
+    # each junction's distribution column by column, each column in row
+    # order, then its priority: segments that must each sum to 1
+    arrays = [a for j, bad in zip(junctions, faulty) if not bad for a in (j.distribution.T, j.priority)]
+    values = np.concatenate(arrays + [_NO_ENTRIES], axis=None, dtype=float)
+    lengths = [n for o, i, bad in zip(n_out, n_in, faulty) if not bad for n in [o] * i + [i]]
+    owner = [k for k, (i, bad) in enumerate(zip(n_in, faulty)) if not bad for _ in range(i + 1)]
+    # an entry outside [0, 1 + 1e-12], or NaN, counts as 2, which puts
+    # its segment's sum off 1
+    values[~(np.minimum(values, 1.0 + 1e-12 - values) >= 0.0)] = 2.0
+    off = np.bincount(np.arange(len(lengths)).repeat(lengths), weights=values, minlength=len(lengths)) - 1.0
+    for s in (np.abs(off) > _COLUMN_TOL).nonzero()[0].tolist():
+        faulty[owner[s]] = True
+    return faulty
 
 
 def _first(items: list, item_id: str):

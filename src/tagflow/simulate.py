@@ -328,83 +328,119 @@ class Simulator:
         one's flat routing index, in-slot and out-slot, which _route reads.
         The dynamic exits are diverge rows; exit_splits lists them in
         network order.
+
+        The build reads every junction's arcs, widths, priorities and
+        distribution once, into flat arrays, and then makes the same
+        numpy calls whatever the number of rows or groups.  Two stable
+        sorts, by -priority and then by row, put each row's incoming arcs
+        in priority order with position breaking ties, as priority_order
+        does.  A row's kind comes from its widths: one incoming arc makes
+        a diverge, and otherwise one outgoing arc a merge, whose entries
+        validate has checked to lie within the column tolerance of 1, as
+        classify requires.  Every real routing entry is then placed from
+        its row's offsets, with its value taken from the distribution.
         """
         idx = self._arc_index
         net_juncs = net.junctions
-        sources = [idx[a] for a in net.source_arc_ids]
-        sinks = [idx[a] for a in net.sink_arc_ids]
-        # arc n_arcs + s stands for slot total_cells + s
-        n_arcs = len(self.arc_ids)
+        n_arcs, n_juncs = len(self.arc_ids), len(net_juncs)
+        # every junction's arcs, widths, priorities and distribution, read
+        # in one pass
+        incoming = [idx[a] for j in net_juncs for a in j.incoming]
+        outgoing = [idx[a] for j in net_juncs for a in j.outgoing]
+        # sources are fed by no junction and sinks drain into none; arc
+        # n_arcs stands for the dead cell and n_arcs + 1 + s for slot
+        # total_cells + s, so a reservoir's row runs from its slot into its
+        # source arc, and a sink's row from its arc into the outlet
+        fed, drained = set(outgoing), set(incoming)
+        sources = [k for k in range(n_arcs) if k not in fed]
+        sinks = [k for k in range(n_arcs) if k not in drained]
         outlet = n_arcs + 1 + len(sources)
-        ends = [([n_arcs + 1 + r], [k]) for r, k in enumerate(sources)] + [([k], [outlet]) for k in sinks]
-        incoming = [[idx[a] for a in j.incoming] for j in net_juncs] + [i for i, _ in ends]
-        outgoing = [[idx[a] for a in j.outgoing] for j in net_juncs] + [o for _, o in ends]
-        distributions = [j.distribution for j in net_juncs] + [np.ones((1, 1))] * len(ends)
-        orders = [_junctions.priority_order(j.priority) for j in net_juncs] + [[0]] * len(ends)
+        in_arc = np.array(incoming + list(range(n_arcs + 1, outlet)) + sinks, dtype=np.intp)
+        out_arc = np.array(outgoing + sources + [outlet] * len(sinks), dtype=np.intp)
+        one = [1] * (len(sources) + len(sinks))  # per reservoir and sink row
+        n_in = [len(j.incoming) for j in net_juncs] + one
+        n_out = [len(j.outgoing) for j in net_juncs] + one
+        widest = max(n_in + n_out)
+        counts = np.array([n_in, n_out, [i * o for i, o in zip(n_in, n_out)]], dtype=np.intp)
+        priority = np.concatenate([j.priority for j in net_juncs] + [one], dtype=float)
+        distribution = np.concatenate([j.distribution for j in net_juncs] + [one], axis=None, dtype=float)
+        widths = counts[:2]
+        n_rows = len(n_in)
+        # by row in network order: its first incoming arc, outgoing arc
+        # and distribution entry
+        at = counts.cumsum(axis=1) - counts
+        # each row's incoming arcs in priority order, position breaking
+        # ties: a lexsort by row, then -priority, as two stable sorts
+        order = (-priority).argsort(kind="stable")
+        order = order[np.arange(n_rows).repeat(counts[0])[order].argsort(kind="stable")]
 
-        kinds = list(_junctions.KERNELS)
-        kind = np.array([kinds.index(_junctions.classify(d)) for d in distributions], dtype=np.intp)
-        widths = np.array([[len(i) for i in incoming], [len(o) for o in outgoing]], dtype=np.intp)
+        # each row's kind, an index into kinds: 0 with one incoming arc,
+        # else 1 with one outgoing arc, else 2
+        kinds = ["diverge", "merge", "general"]
+        many_in, many_out = np.minimum(widths, 2) - 1
+        kind = many_in * (1 + many_out)
         # width classes: 1 to 4, 5 to 8, 9 to 16, ..., counted by the bounds below a width
         width_class = np.zeros(widths.shape, dtype=np.intp)
         bound = 4
-        while bound < widths.max():
+        while bound < widest:
             width_class += widths > bound
             bound *= 2
         group = (kind * 64 + width_class[0]) * 64 + width_class[1]  # classes stay below 64
         # every valid network has a row: an arc is fed by a junction or a reservoir
-        rows = np.argsort(group, kind="stable")
-        keys = group[rows].tolist()
-        starts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]]
-        # each group is (kind, rows, n_in, n_out)
-        in_arcs, out_arcs, routings, entries, layout = [], [], [], [], []
-        for a, b in zip(starts, starts[1:] + [len(keys)]):
-            members = rows[a:b]
-            group_in, group_out = widths[:, members, None]
-            in_slot = np.arange(group_in.max()) < group_in
-            out_slot = np.arange(group_out.max()) < group_out
-            members = members.tolist()
-            # padding is arc n_arcs, the dead cell; each row's incoming
-            # arcs, and its routing columns below, in priority order
-            arcs = np.full(in_slot.shape, n_arcs, dtype=np.intp)
-            arcs[in_slot] = [incoming[r][i] for r in members for i in orders[r]]
-            in_arcs.append(arcs.ravel())
-            arcs = np.full(out_slot.shape, n_arcs, dtype=np.intp)
-            arcs[out_slot] = [o for r in members for o in outgoing[r]]
-            out_arcs.append(arcs.ravel())
-            routing = np.zeros(out_slot.shape + in_slot.shape[1:])
-            real = out_slot[:, :, None] & in_slot[:, None, :]
-            # plain floats: a permuted array per junction would raise peak memory
-            routing[real] = [row[i] for r in members for row in distributions[r].tolist() for i in orders[r]]
-            name = kinds[keys[a] // 64**2]
-            if name == "merge":
-                routing[:, 0] = in_slot
-            routings.append(routing.ravel())
-            # its real routing entries by row, out-slot, then priority column
-            entries.append(np.nonzero(real))
-            layout.append((name, b - a, in_slot.shape[1], out_slot.shape[1]))
-        in_arcs, out_arcs = np.concatenate(in_arcs), np.concatenate(out_arcs)
-        self._routing = np.concatenate(routings)
-        # by row in table order: its group's widths, then its first
-        # in-slot, out-slot and routing entry
-        pad_in, pad_out = np.repeat([g[2:] for g in layout], [g[1] for g in layout], axis=0).T
-        sizes = np.array([pad_in, pad_out, pad_in * pad_out])
-        first = np.cumsum(sizes, axis=1) - sizes
-        # each real entry's in-slot, out-slot and flat routing index
-        row, out_col, in_col = (np.concatenate(e) for e in zip(*entries))
-        row += np.repeat(starts, [e[0].size for e in entries])
-        self._e_in = first[0, row] + in_col
-        self._e_out = first[1, row] + out_col
-        self._e_r = first[2, row] + out_col * pad_in[row] + in_col
+        rows = group.argsort(kind="stable")
+        keys = group[rows]
+        # a group starts where the sorted key changes
+        starts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist()]
+        sizes = [b - a for a, b in zip(starts, starts[1:] + [n_rows])]
+        # by row in table order: its widths and real routing entries, and
+        # its group's widths, those of the group's widest row
+        t_counts = counts[:, rows]
+        t_in, t_size = t_counts[0], t_counts[2]
+        pad = np.maximum.reduceat(t_counts[:2], starts, axis=1)
+        pad_in, pad_out = pad.repeat(sizes, axis=1)
+        # and its first in-slot, out-slot, routing entry and real routing
+        # entry; then all that its entries read of it
+        slots = np.array([pad_in, pad_out, pad_in * pad_out, t_size])
+        ends = slots.cumsum(axis=1)
+        first = ends - slots
+        n_in_slots, n_out_slots, n_entries, _ = ends[:, -1].tolist()
+        per_row = np.concatenate([first[:3], [pad_in, first[3], t_in, kind[rows]], at[:, rows]])
+        # each real routing entry, by row, out-slot o, then priority column k
+        first_in, first_out, first_r, stride, entry_at, w_in, entry_kind, arc_at, arc_out_at, dist_at = per_row.repeat(
+            t_size, axis=1
+        )
+        j = np.arange(entry_at.size) - entry_at
+        o = j // w_in
+        ow = o * w_in
+        k = j - ow
+        self._e_in = first_in + k
+        self._e_out = first_out + o
+        self._e_r = first_r + o * stride + k
+        # the incoming arc, among all rows', that is its row's k-th
+        ranked = order[arc_at + k]
+        value = distribution[dist_at - arc_at + ow + ranked]
+        value[entry_kind == kinds.index("merge")] = 1.0
+        self._routing = np.zeros(n_entries)
+        self._routing[self._e_r] = value
+        # the entries of out-slot 0 name every in-slot once, and those of
+        # priority column 0 every out-slot; padding is the dead cell
+        in_arcs = np.full(n_in_slots, n_arcs, dtype=np.intp)
+        lead = o == 0
+        in_arcs[self._e_in[lead]] = in_arc[ranked[lead]]
+        out_arcs = np.full(n_out_slots, n_arcs, dtype=np.intp)
+        lead = k == 0
+        out_arcs[self._e_out[lead]] = out_arc[(arc_out_at + o)[lead]]
         # by row in network order: its first in-slot, out-slot and routing
         # entry, and the stride of its routing rows
-        base = np.array([*first, pad_in])[:, np.argsort(rows)]
+        base = np.empty((4, n_rows), dtype=np.intp)
+        base[:, rows] = per_row[:4]
 
-        slots = self.total_cells + np.arange(len(sources) + 2)
-        scratch = np.full(slots.size, self.total_ifaces)
-        self._in_cell = np.concatenate([self._arc_last_cell, slots])[in_arcs]
+        # past the cells: the dead cell, a slot per reservoir, the outlet
+        tail = self.total_cells + np.arange(len(sources) + 2)
+        scratch = np.full(tail.size, self.total_ifaces)
+        self._in_cell = np.concatenate([self._arc_last_cell, tail])[in_arcs]
         self._in_iface = np.concatenate([self.arc_last_iface, scratch])[in_arcs]
-        self._out_cell = np.concatenate([self.arc_first_iface, slots])[out_arcs]
+        self._out_cell = np.concatenate([self.arc_first_iface, tail])[out_arcs]
         self._out_iface = np.concatenate([self.arc_first_iface, scratch])[out_arcs]
         # the boundary totals sum in arc order
         self._inflow_iface = self.arc_first_iface[sources]
@@ -412,19 +448,16 @@ class Simulator:
         # the balance check and a run's junction arcs read each junction's
         # own arc lists, in network order, not the table
         self._junction_ids = [j.id for j in net_juncs]
-        self._balance_in = self.arc_last_iface[[idx[a] for j in net_juncs for a in j.incoming]]
-        self._balance_out = self.arc_first_iface[[idx[a] for j in net_juncs for a in j.outgoing]]
-        self._balance_at = [
-            np.cumsum([0] + [len(j.incoming) for j in net_juncs])[:-1],
-            np.cumsum([0] + [len(j.outgoing) for j in net_juncs])[:-1],
-        ]
+        self._balance_in = self.arc_last_iface[incoming]
+        self._balance_out = self.arc_first_iface[outgoing]
+        self._balance_at = [at[0, :n_juncs], at[1, :n_juncs]]
         # each junction's first in-slot and routing entry, and the stride
         # of its routing rows
-        self._junction_at = base[[0, 2, 3], : len(net_juncs)]
+        self._junction_at = base[[0, 2, 3], :n_juncs]
 
         # dynamic exits (one in, two out) are diverge rows, in network
         # order; _dyn_split holds the flat indices of their splits in routing
-        dyn = np.flatnonzero([j.coefficient_mode == "dynamic" for j in net_juncs])
+        dyn = [k for k, j in enumerate(net_juncs) if j.coefficient_mode == "dynamic"]
         dynamic = [net_juncs[k] for k in dyn]
         in_at, out_at, routing_at, stride = base[:, dyn]
         self._dyn_split = routing_at[:, None] + stride[:, None] * np.arange(2)
@@ -441,26 +474,25 @@ class Simulator:
 
         # the slots each step gathers and solves; a group reads and writes
         # contiguous views
-        self._d, self._gamma = np.empty(in_arcs.size), np.empty(in_arcs.size)
-        self._s = np.empty(out_arcs.size)
+        self._d, self._gamma = np.empty(n_in_slots), np.empty(n_in_slots)
+        self._s = np.empty(n_out_slots)
         self._groups = []
-        for (name, b, w_in, w_out), (i, o, r) in zip(layout, first[:, starts].T.tolist()):
+        for g, b, w_in, w_out, i, o, r in zip(keys[starts].tolist(), sizes, *pad.tolist(), *first[:3, starts].tolist()):
             ins, outs = slice(i, i + b * w_in), slice(o, o + b * w_out)
             routing = self._routing[r : r + b * w_out * w_in].reshape(b, w_out, w_in)
             d, gamma = self._d[ins].reshape(b, w_in), self._gamma[ins].reshape(b, w_in)
             s = self._s[outs].reshape(b, w_out)
-            self._groups.append((_junctions.KERNELS[name], d, s, routing, gamma))
+            self._groups.append((_junctions.KERNELS[kinds[g // 64**2]], d, s, routing, gamma))
         bc_by_arc = {bc.arc_id: bc for bc in net.boundary_conditions}
         return [bc_by_arc[self.arc_ids[k]] for k in sources]
 
     def _check_interface_cover(self):
-        # the interior write F[1:n] then the table's first faces and ends
-        cover = np.zeros(self.total_ifaces + 1, dtype=int)
-        cover[1 : self.total_cells] = 1
-        cover[self.arc_first_iface] = 0
-        for arr in (self._in_iface, self._out_iface):
-            np.add.at(cover, arr, 1)
-        if not np.all(cover[:-1] == 1):
+        # every interface is written once: the interior rule writes each
+        # cell's left face but an arc's first, the table those and the ends
+        cover = np.bincount(np.concatenate([self._in_iface, self._out_iface]), minlength=self.total_ifaces + 1)
+        cover[1 : self.total_cells] += 1
+        cover[self.arc_first_iface[1:]] -= 1
+        if np.count_nonzero(cover[:-1] != 1):
             raise AssertionError("internal layout error: interface not covered exactly once")
 
     # -- state -------------------------------------------------------------

@@ -15,6 +15,13 @@ def test_chain_topology_validates():
     Simulator(net)  # layout construction must succeed
 
 
+def test_bench_reports_its_set_up_time():
+    # building the chain and its Simulator, apart from the stepping loop
+    report = run_bench(40, 5, 3)
+    assert 0.0 < report.setup_time_s < 5.0
+    assert 0.0 < report.wall_time_s < 5.0
+
+
 def test_chain_size_scales_with_request():
     small = build_diamond_chain(4, 5)
     large = build_diamond_chain(40, 5)

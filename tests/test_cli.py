@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +268,12 @@ def test_bench_command_reports(capsys):
     out = capsys.readouterr().out
     assert "cell updates/s" in out
     assert "mass residual" in out
+
+
+def test_bench_command_prints_its_set_up_time_beside_the_wall_time(capsys):
+    assert main(["bench", "--arcs", "10", "--cells", "5", "--steps", "3"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert any(re.fullmatch(r"wall time: \d+\.\d{3} s \(set-up \d+\.\d{3} s\)", line) for line in lines)
 
 
 def test_bench_rejects_bad_parameters(capsys):

@@ -526,6 +526,99 @@ def test_validate_reports_each_fault_in_order(build, expected):
     assert build().validate() == expected
 
 
+# Two columns of ten entries near 1 + 1e-9: added in row order from 0, as
+# validate adds them, the first sums within the tolerance and the second
+# past it; numpy's pairwise sum gives the opposite verdicts.
+_PASSES = [
+    float.fromhex(h)
+    for h in (
+        "0x1.40548e4d38fc8p-6", "0x1.d0cffbb740b99p-4", "0x1.9917824d653aep-5", "0x1.44c0bdf61ee61p-4",
+        "0x1.8e7b13ffb04e0p-4", "0x1.d42f6f244c4dbp-4", "0x1.16270fcc2b84cp-2", "0x1.d32ca2a0400dbp-7",
+        "0x1.167aba5f374b5p-3", "0x1.ab2c9676366c2p-4",
+    )
+]
+_FAILS = [
+    float.fromhex(h)
+    for h in (
+        "0x1.d573c489826fbp-5", "0x1.f5d42d083c831p-3", "0x1.132f3d3ccf3aap-5", "0x1.5d07e05e16735p-4",
+        "0x1.11feb89864015p-3", "0x1.cb45b5d21e6bap-5", "0x1.93f02b7321db9p-5", "0x1.461ed3794f9b8p-5",
+        "0x1.3ba3e3a9d1248p-8", "0x1.2e270eca14b68p-2",
+    )
+]
+
+
+def _wide(column=None, priority=None):
+    """Ten fed arcs into one junction with ten outlets, each arc routed
+    whole to one outlet but arc 1, whose column is given if any."""
+    arcs = [Arc(f"I{k}", 0.0, 1.0, 2, "external_in") for k in range(10)]
+    arcs += [Arc(f"O{k}", 0.0, 1.0, 2, "external_out") for k in range(10)]
+    distribution = np.eye(10)
+    if column is not None:
+        distribution[:, 1] = column
+    junction = Junction("J", [f"I{k}" for k in range(10)], [f"O{k}" for k in range(10)], distribution, priority)
+    return _net(arcs, [junction], [f"I{k}" for k in range(10)])
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: _wide(column=_PASSES), []),
+        (lambda: _wide(column=_FAILS), ["junction J: distribution column 1 mass 1 != 1"]),
+        (lambda: _wide(priority=_PASSES), []),
+        (lambda: _wide(priority=_FAILS), ["junction J: priority weights must sum to 1"]),
+    ],
+    ids=["column-passes", "column-fails", "priority-passes", "priority-fails"],
+)
+def test_validate_sums_columns_and_weights_in_order(build, expected):
+    verdicts = []
+    for values in (_PASSES, _FAILS):
+        total = 0
+        for value in values:
+            total += value
+        verdicts.append(abs(total - 1.0) > 1e-9)
+    assert verdicts == [False, True]
+    assert [abs(float(np.sum(v)) - 1.0) > 1e-9 for v in (_PASSES, _FAILS)] == [True, False]
+    assert build().validate() == expected
+
+
+def test_junction_numbers_keep_their_shapes_dtype_and_values():
+    # as np.atleast_2d / np.atleast_1d of np.asarray(.., dtype=float) made them
+    f32 = np.array([0.25, 0.75], dtype=np.float32)
+    cases = [
+        ([[1.0, 1.0]], [0.4, 0.6]),
+        ([[1, 1]], [1, 0]),
+        (np.array([1.0, 1.0]), np.array([0.4, 0.6])),
+        (f32[None] * 0 + 1, f32),
+        ([[0.5, 0.5], [0.5, 0.5]], (0.3, 0.7)),
+    ]
+    for distribution, priority in cases:
+        junction = Junction("J", ["A", "B"], ["C"], distribution, priority=priority)
+        for got, given, ndim in ((junction.distribution, distribution, 2), (junction.priority, priority, 1)):
+            before = np.asarray(given, dtype=float)
+            before = np.atleast_2d(before) if ndim == 2 else np.atleast_1d(before)
+            assert got.dtype == np.float64 and got.shape == before.shape
+            assert got.tobytes() == before.tobytes()
+    scalar = Junction("J", ["A"], ["C"], 1.0, priority=1.0)
+    assert scalar.distribution.shape == (1, 1) and scalar.priority.shape == (1,)
+    assert scalar.distribution.dtype == scalar.priority.dtype == np.float64
+
+
+@pytest.mark.parametrize("n_in", [0, 1, 3, 7])
+def test_junction_default_priority_is_exactly_uniform(n_in):
+    junction = Junction("J", [f"I{k}" for k in range(n_in)], ["C"], np.ones((1, n_in)))
+    assert junction.priority.dtype == np.float64 and junction.priority.shape == (n_in,)
+    assert junction.priority.tolist() == [1.0 / max(n_in, 1)] * n_in
+
+
+def test_junction_keeps_float64_arrays_uncopied():
+    distribution, priority = np.array([[1.0, 1.0]]), np.array([0.4, 0.6])
+    junction = Junction("J", ["A", "B"], ["C"], distribution, priority=priority)
+    assert junction.distribution is distribution and junction.priority is priority
+    # a 1-D distribution becomes a one-row view of the same memory
+    row = np.array([1.0, 1.0])
+    assert np.shares_memory(Junction("J", ["A", "B"], ["C"], row).distribution, row)
+
+
 def test_random_networks_validate_and_have_stochastic_columns():
     rng = np.random.default_rng(123)
     for _ in range(25):

@@ -1099,6 +1099,119 @@ def test_routed_flux_is_the_sequential_sum_in_priority_order(name):
     assert widest >= 20
 
 
+def _tied_network():
+    """Junctions with tied, partly tied and zero priority weights, joined
+    in a chain: each junction's outgoing arcs are the next one's first
+    incoming arcs, reservoirs feed the rest, and the last drains.  Merges
+    and hubs span several width classes of n_in and of n_out, and some
+    distribution entries are zero."""
+    rng = np.random.default_rng(5)
+    tiers = rng.integers(1, 4, 20)  # weights from {1, 2, 3}: many ties
+    specs = [
+        (3, 2, None),  # the uniform default: every weight tied
+        (4, 1, None),  # a merge, every weight tied
+        (4, 3, [0.25, 0.25, 0.5, 0.0]),
+        (6, 6, [0.0, 0.0, 0.5, 0.0, 0.5, 0.0]),  # tied zero weights
+        (12, 2, tiers[:12] / tiers[:12].sum()),
+        (20, 1, tiers / tiers.sum()),  # a merge of width class 17-32
+        (1, 6, None),  # a diverge of width class 5-8
+        (24, 9, None),
+    ]
+    arcs, junctions, bcs, feed = [], [], [], []
+    for n, (n_in, n_out, priority) in enumerate(specs):
+        fresh = [f"R{n}_{k}" for k in range(n_in - len(feed))]
+        arcs += [Arc(a, 0.0, 1.0, 2, "external_in") for a in fresh]
+        bcs += [BoundaryCondition(a, 0.1) for a in fresh]
+        outs = [f"A{n}_{k}" for k in range(n_out)]
+        arcs += [Arc(a, 0.0, 1.0, 2, "generic") for a in outs]
+        columns = rng.uniform(0.1, 1.0, (n_out, n_in)) * (rng.random((n_out, n_in)) < 0.7)
+        columns[0] += columns.sum(axis=0) == 0.0  # no column of zeros
+        # a merge's entries lie within the column tolerance of 1, not at it
+        merge = 1.0 + 5e-10 * np.resize([-1.0, 1.0, 0.0], (1, n_in))
+        distribution = merge if n_out == 1 else columns / columns.sum(axis=0)
+        junctions.append(Junction(f"J{n}", feed + fresh, outs, distribution, priority=priority))
+        feed = outs
+    for arc in arcs[-len(feed) :]:
+        arc.kind = "external_out"
+    return Network(UNIT, arcs, junctions, bcs)
+
+
+def test_each_row_holds_its_arcs_in_priority_order_and_its_routing_block():
+    # every row as the network alone says it should be: its in-slots hold
+    # its incoming arcs in priority_order, its group's kernel is the one
+    # classify names, and its routing block holds the distribution's
+    # columns in that order, exactly 1 on a merge
+    net = _tied_network()
+    assert net.validate() == []
+    sim = Simulator(net)
+    arc = {arc_id: k for k, arc_id in enumerate(sim.arc_ids)}
+    widths = set()
+    for n, j in enumerate(net.junctions):
+        order = priority_order(j.priority)
+        kind = classify(j.distribution)
+        n_in, n_out = len(j.incoming), len(j.outgoing)
+        in_at, routing_at, stride = sim._junction_at[:, n].tolist()
+        assert sim._in_cell[in_at : in_at + n_in].tolist() == [
+            sim._arc_last_cell[arc[j.incoming[i]]] for i in order
+        ], j.id
+        (kernel, d, _, routing, _), = [g for g in sim._groups if np.shares_memory(g[1], sim._d[in_at : in_at + 1])]
+        assert kernel is KERNELS[kind], j.id
+        assert stride == d.shape[1] == routing.shape[2]
+        widths.add(routing.shape[1:])
+        # past its own arcs, its in-slots are padding: the dead cell
+        assert np.all(sim._in_cell[in_at + n_in : in_at + stride] == sim.total_cells)
+        block = [[sim._routing[routing_at + o * stride + k] for k in range(n_in)] for o in range(n_out)]
+        assert block == [[1.0 if kind == "merge" else j.distribution[o, i] for i in order] for o in range(n_out)], j.id
+        # its real routing entries, by out-slot, then priority column
+        mine = np.flatnonzero((sim._e_in >= in_at) & (sim._e_in < in_at + n_in))
+        out_at = sim._e_out[mine[0]]
+        cells = [(o, k) for o in range(n_out) for k in range(n_in)]
+        assert sim._e_r[mine].tolist() == [routing_at + o * stride + k for o, k in cells]
+        assert sim._e_in[mine].tolist() == [in_at + k for _, k in cells]
+        assert sim._e_out[mine].tolist() == [out_at + o for o, _ in cells]
+        assert sim._out_cell[out_at : out_at + n_out].tolist() == [sim.arc_first_iface[arc[a]] for a in j.outgoing]
+    # groups of width classes past 1-4, 5-8 and 9-16, in and out
+    assert max(w_out for w_out, _ in widths) > 8 and max(w_in for _, w_in in widths) > 16
+
+
+def test_the_table_is_built_without_priority_order_or_classify(monkeypatch):
+    # the build reads kinds and priority orders off concatenated arrays;
+    # solve still names the one junction's kind and order it solves
+    calls = {"priority_order": 0, "classify": 0}
+    for name in calls:
+
+        def counted(arg, name=name, helper=getattr(junctions, name)):
+            calls[name] += 1
+            return helper(arg)
+
+        monkeypatch.setattr(junctions, name, counted)
+    Simulator(build_diamond_chain(2000, 25))
+    Simulator(topic_network(60, 3))
+    assert calls == {"priority_order": 0, "classify": 0}
+    junctions.solve(junctions.JunctionProblem([0.2, 0.3], [0.25], [[1.0, 1.0]], priority=[0.4, 0.6]))
+    assert calls == {"priority_order": 1, "classify": 1}
+
+
+@pytest.mark.parametrize("network", ["roundabout", "mixed", "topics"])
+def test_layout_check_refuses_an_interface_written_twice_or_never(network):
+    net = {
+        "roundabout": lambda: build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01),
+        "mixed": mixed_kind_network,
+        "topics": lambda: topic_network(60, 3),
+    }[network]()
+    sim = Simulator(net)
+    real = np.flatnonzero(sim._out_iface < sim.total_ifaces)
+    for field, slot in (("_out_iface", real[0]), ("_out_iface", real[-1]), ("_in_iface", 0)):
+        kept = getattr(sim, field).copy()
+        # an arc's first face or end written by a second row, and its own
+        # left untouched
+        getattr(sim, field)[slot] = getattr(sim, field)[slot - 1] if slot else kept[1]
+        with pytest.raises(AssertionError, match="interface not covered exactly once"):
+            sim._check_interface_cover()
+        setattr(sim, field, kept)
+        sim._check_interface_cover()
+
+
 def test_invariant_breach_fails_loudly():
     net = single_arc_network(UNIT, 20, 0.2)
     sim = Simulator(net)

@@ -166,9 +166,13 @@ class FluxModel:
         NaN, indicate a bug upstream and raise.
         """
         arr = np.asarray(rho, dtype=float)
-        if arr.size and not (np.min(arr) >= -DENSITY_TOL and np.max(arr) <= self.rho_max + DENSITY_TOL):
-            raise ValueError(
-                f"density violates [0, {self.rho_max}] beyond tolerance {DENSITY_TOL}: "
-                f"range [{np.min(arr)}, {np.max(arr)}]"
-            )
-        return _like(rho, np.clip(arr, 0.0, self.rho_max))
+        if arr.size:
+            # the ufuncs themselves: np.min and np.max are Python wrappers
+            low, high = np.minimum.reduce(arr, axis=None), np.maximum.reduce(arr, axis=None)
+            if not (low >= -DENSITY_TOL and high <= self.rho_max + DENSITY_TOL):
+                raise ValueError(
+                    f"density violates [0, {self.rho_max}] beyond tolerance {DENSITY_TOL}: "
+                    f"range [{low}, {high}]"
+                )
+        # the clip ufunc, as np.clip calls it, so -0.0 stays -0.0
+        return _like(rho, arr.clip(0.0, self.rho_max))

@@ -169,23 +169,30 @@ def general(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> n
     Rows that fit are answered by the replayed rounds; the rest climb.
     Stage one of _simplex lifts each arc in turn to its demand without a
     pivot while its routed shares fit what the arcs before it left of
-    every supply.  Replaying its floating-point operations per arc (a
-    presolve: Andersen & Andersen, Math. Prog. 71, 1995) finds the rows
-    that fit all the way; only the others climb, as a batch of their own.
+    every supply.  Replaying its floating-point operations (a presolve:
+    Andersen & Andersen, Math. Prog. 71, 1995) finds the rows that fit
+    all the way; only the others climb, as a batch of their own.
+
+    What each supply has left before each arc is one cumulative sum
+    over [supplies, (-d_0) r_0, (-d_1) r_1, ...].  It adds in arc order,
+    (-d) r is -(d r) and a + (-b) is a - b in IEEE 754, so every slack
+    has the bits of stage one's.  An arc with zero demand subtracts
+    nothing and always fits, so it changes no decision.  The presolve
+    is a fixed set of numpy calls whatever the width, on arrays laid
+    out (arc, outgoing arc, junction): every short axis is an outer
+    loop over B contiguous junctions.
     """
-    fits = np.ones(demands.shape[0], dtype=bool)
-    slack = supplies
-    for i in np.flatnonzero(demands.any(axis=0)).tolist():
-        rate = routing[:, :, i]
-        room = np.empty(rate.shape)
-        room.fill(np.inf)
-        np.divide(np.maximum(slack, 0.0), rate, out=room, where=rate > _PIVOT_TOL)
-        fits &= np.minimum.reduce(room, axis=1) >= demands[:, i]
-        if not fits.any():
-            return _simplex(demands, supplies, routing)
-        slack = slack - demands[:, i, None] * rate
-    # to the bit what _simplex returns for a row that fits
-    gamma = np.clip(np.where(demands > 0.0, demands, 0.0), 0.0, demands)
+    rate = routing.T
+    left = np.empty(rate.shape)
+    left[0] = supplies.T
+    np.multiply(np.negative(demands.T[:-1, None]), rate[:-1], out=left[1:])
+    np.add.accumulate(left, axis=0, out=left)
+    room = np.empty(rate.shape)
+    room.fill(np.inf)
+    np.divide(np.maximum(left, 0.0, out=left), rate, out=room, where=rate > _PIVOT_TOL)
+    fits = (room >= demands.T[:, None]).all(axis=(0, 1))
+    # to the bit what _simplex returns for a row that fits, -0.0 included
+    gamma = np.minimum(np.maximum(demands, 0.0), demands)
     if not fits.all():
         gamma[~fits] = _simplex(demands[~fits], supplies[~fits], routing[~fits])
     return gamma

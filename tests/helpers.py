@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from tagflow.flux import FluxModel
-from tagflow.junctions import JunctionProblem
+from tagflow.junctions import _PIVOT_TOL, JunctionProblem
 from tagflow.network import Arc, BoundaryCondition, InvalidInputError, Junction, Network
 from tagflow.simulate import (
     EPS_FLUX,
@@ -84,6 +84,26 @@ def random_junction_problem(rng: np.random.Generator) -> JunctionProblem:
         distribution=np.stack(cols, axis=1),
         priority=priority,
     )
+
+
+def presolve_fits_reference(demands: np.ndarray, supplies: np.ndarray, routing: np.ndarray) -> np.ndarray:
+    """Which rows general answers without the simplex, by a per-arc loop.
+
+    general's presolve as it was first written: one numpy round per
+    demanded arc, subtracting each arc's routed demand from what the
+    arcs before it left.  A row fits when every arc's room on every
+    supply is at least its demand.
+    """
+    fits = np.ones(demands.shape[0], dtype=bool)
+    slack = supplies
+    for i in np.flatnonzero(demands.any(axis=0)).tolist():
+        rate = routing[:, :, i]
+        room = np.empty(rate.shape)
+        room.fill(np.inf)
+        np.divide(np.maximum(slack, 0.0), rate, out=room, where=rate > _PIVOT_TOL)
+        fits &= np.minimum.reduce(room, axis=1) >= demands[:, i]
+        slack = slack - demands[:, i, None] * rate
+    return fits
 
 
 def random_network(rng: np.random.Generator, model: FluxModel | None = None) -> Network:

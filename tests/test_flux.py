@@ -182,3 +182,11 @@ def test_clamp_density():
     assert UNIT.clamp_density(1.0 + 5e-13) == 1.0
     with pytest.raises(ValueError):
         UNIT.clamp_density(-1e-9)
+
+
+def test_clamp_density_keeps_the_bits_of_np_clip():
+    # -0.0 stays -0.0, where np.maximum(-0.0, 0.0) would give +0.0
+    rho = np.array([-0.0, 0.0, -1e-13, 1.0 + 1e-13])
+    clamped = UNIT.clamp_density(rho)
+    assert clamped.tobytes() == np.array([-0.0, 0.0, 0.0, 1.0]).tobytes()
+    assert clamped.tobytes() == np.clip(rho, 0.0, 1.0).tobytes()

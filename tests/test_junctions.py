@@ -25,7 +25,7 @@ from tagflow.junctions import (
     solve,
 )
 
-from helpers import random_junction_problem
+from helpers import presolve_fits_reference, random_junction_problem
 
 
 def make(demands, supplies, distribution, priority=None):
@@ -330,6 +330,93 @@ def test_general_answers_as_the_simplex_alone_bitwise():
         short += (~served).sum()
     # rows that get their demands and rows that do not both occur in numbers
     assert min(whole, short) > 500
+
+
+def _presolve_edge_batch(rng, n_in, n_out, size):
+    """_general_batch's problems at the edges of general's fit test.
+
+    Some arcs no row demands, some demands are -0.0, and one padding
+    in-column and out-row route nothing, as the engine pads its groups.
+    Rates sit at _PIVOT_TOL or one ulp above it.  Supplies are the
+    routed demands summed in arc order, an ulp either side of that,
+    infinite, or drawn at random.
+    """
+    demands, supplies, routing, _ = _general_batch(rng, n_in, n_out, size)
+    rate = rng.random(routing.shape)
+    routing[rate < 0.05] = junctions._PIVOT_TOL
+    routing[(rate >= 0.05) & (rate < 0.1)] = np.nextafter(junctions._PIVOT_TOL, 1.0)
+    demands[:, rng.random(n_in) < 0.2] = 0.0
+    demands[rng.random(demands.shape) < 0.05] = -0.0
+    routed = np.zeros(supplies.shape)
+    for i in range(n_in):
+        routed = routed + demands[:, i, None] * routing[:, :, i]
+    pick = rng.integers(0, 5, supplies.shape)
+    supplies[pick == 0] = routed[pick == 0]
+    supplies[pick == 1] = np.nextafter(routed, 0.0)[pick == 1]
+    supplies[pick == 2] = np.nextafter(routed, np.inf)[pick == 2]
+    supplies[pick == 3] = np.inf
+    padded = np.zeros((size, n_out + 1, n_in + 1))
+    padded[:, :n_out, :n_in] = routing
+    return (
+        np.concatenate([demands, np.zeros((size, 1))], axis=1),
+        np.concatenate([supplies, rng.uniform(0.0, 0.3, (size, 1))], axis=1),
+        padded,
+    )
+
+
+def test_general_climbs_for_the_rows_the_per_arc_presolve_sends_on(monkeypatch):
+    # only which rows reach the simplex is compared: it takes no
+    # infinite supply, so none is solved
+    reached = []
+
+    def recorded(demands, supplies, routing):
+        reached.append((demands.tobytes(), supplies.tobytes(), routing.tobytes()))
+        return np.zeros(demands.shape)
+
+    monkeypatch.setattr(junctions, "_simplex", recorded)
+    rng = np.random.default_rng(24)
+    fit = climb = 0
+    for n_in, n_out in itertools.product(range(1, 9), range(1, 6)):
+        batch = _presolve_edge_batch(rng, n_in, n_out, 120)
+        fits = presolve_fits_reference(*batch)
+        reached.clear()
+        general(*batch)
+        expected = [] if fits.all() else [tuple(a[~fits].tobytes() for a in batch)]
+        assert reached == expected, f"{n_in}x{n_out}"
+        fit += fits.sum()
+        climb += (~fits).sum()
+    # both fates occur in numbers
+    assert min(fit, climb) > 1000
+
+
+def test_general_answers_a_row_that_fits_as_the_simplex_does():
+    # zero, -0.0 and subnormal demands fit ample supplies
+    demands = np.array([[-0.0, 0.0, 5e-324, 0.25], [0.0, -0.0, 0.125, -0.0]])
+    supplies = np.full((2, 3), 1.0)
+    routing = np.full((2, 3, 4), 0.25)
+    gamma = general(demands, supplies, routing)
+    assert gamma.tobytes() == junctions._simplex(demands, supplies, routing).tobytes()
+    # the fitted answer's form agrees with the clip it replaced, NaN too
+    d = np.array([-0.0, 0.0, 5e-324, 0.25, np.inf, np.nan, -np.nan])
+    clipped = np.clip(np.where(d > 0.0, d, 0.0), 0.0, d)
+    assert np.minimum(np.maximum(d, 0.0), d).tobytes() == clipped.tobytes()
+
+
+def test_general_fits_a_hub_row_of_403_arcs_without_a_climb(climbs):
+    # dyadic demands and shares, so each supply is exactly what the
+    # row routes to it and every slack is exact: both rows fit to the bit
+    rng = np.random.default_rng(403)
+    demands = rng.integers(1, 64, (2, 403)) / 1024.0
+    routing = np.moveaxis(rng.permuted(np.broadcast_to([0.5, 0.25, 0.25], (2, 403, 3)), axis=2), 2, 1)
+    supplies = np.einsum("bji,bi->bj", routing, demands)
+    np.testing.assert_array_equal(general(demands, supplies, routing), demands)
+    assert len(climbs) == 0
+    # one supply an ulp short: that row climbs and the other still fits
+    supplies[1, 2] = np.nextafter(supplies[1, 2], 0.0)
+    gamma = general(demands, supplies, routing)
+    assert len(climbs) >= 1
+    assert gamma[1].sum() < demands[1].sum()
+    assert gamma[0].tobytes() == demands[0].tobytes()
 
 
 def _general_batch(rng, n_in, n_out, size):

@@ -1032,6 +1032,33 @@ def test_each_step_routes_in_one_call_per_flux(monkeypatch, network, per_step):
     assert calls == [True, False][:per_step] * 3
 
 
+@pytest.mark.parametrize("network", ["roundabout", "hub"])
+def test_general_solves_only_where_a_junction_is_general(monkeypatch, network):
+    # the roundabout's entries are merges and its exits diverges, so a
+    # run never calls general, nor the simplex behind it; a loaded hub
+    # calls both
+    net = {
+        "roundabout": lambda: build_roundabout(0.5, 0.5, RHO_BAR_01, RHO_BAR_01, cells_per_arc=5),
+        "hub": lambda: hub_network(16, 4),
+    }[network]()
+    calls = {"general": 0, "_simplex": 0}
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    monkeypatch.setitem(KERNELS, "general", counted("general", KERNELS["general"]))
+    monkeypatch.setattr(junctions, "_simplex", counted("_simplex", junctions._simplex))
+    Simulator(net).run(SimConfig(t_end=20.0))
+    if network == "roundabout":
+        assert calls == {"general": 0, "_simplex": 0}
+    else:
+        assert min(calls.values()) > 0
+
+
 def _table_bytes(sim):
     in_slots = (sim._in_cell, sim._in_iface, sim._d, sim._gamma)
     out_slots = (sim._out_cell, sim._out_iface, sim._s)

@@ -55,9 +55,6 @@ _MAX_INTERFACES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 _CSV_SPECIAL = frozenset(',"\r\n')
 # Closes each list of arrays to concatenate, so an empty list concatenates.
 _NO_ENTRIES = np.zeros(0)
-# np.array's copy argument that copies only when it must: None from
-# numpy 2.0, False before it (where None is refused)
-_IF_NEEDED = None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
 
 
 class InvalidInputError(ValueError):
@@ -116,10 +113,10 @@ class Junction:
     def __post_init__(self):
         self.incoming = list(self.incoming)
         self.outgoing = list(self.outgoing)
-        self.distribution = np.array(self.distribution, dtype=float, copy=_IF_NEEDED, ndmin=2)
+        self.distribution = np.atleast_2d(np.asarray(self.distribution, dtype=float))
         if self.priority is None:
             self.priority = [1.0 / max(len(self.incoming), 1)] * len(self.incoming)
-        self.priority = np.array(self.priority, dtype=float, copy=_IF_NEEDED, ndmin=1)
+        self.priority = np.atleast_1d(np.asarray(self.priority, dtype=float))
 
 
 @dataclass

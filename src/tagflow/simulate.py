@@ -247,10 +247,11 @@ class Simulator:
     routing entries, and scatters every group's fluxes in one call.
     Instances hold no per-run state and may be shared across runs, but
     one SimState must only ever be advanced by one thread at a time.  A
-    Simulator keeps no network: the cell layout, the junction ids, the
-    table and the initial splits are copied when it is built, and
-    states, steps, cell centres and run results read only those copies,
-    so a later edit of the network changes none of them.
+    Simulator keeps no network: the cell layout, the junctions' ids,
+    arcs and distributions, the table and the initial splits are copied
+    when it is built, and states, steps, cell centres and run results
+    read only those copies, so a later edit of the network changes none
+    of them.
 
     Work buffers: demand and supply over the cells and the reservoir
     and outlet slots, the table's gathered demands and supplies and
@@ -337,8 +338,10 @@ class Simulator:
         does.  A row's kind comes from its widths: one incoming arc makes
         a diverge, and otherwise one outgoing arc a merge, whose entries
         validate has checked to lie within the column tolerance of 1, as
-        classify requires.  Every real routing entry is then placed from
-        its row's offsets, with its value taken from the distribution.
+        classify requires, and are set to exactly 1.  Every real routing
+        entry is then placed from its row's offsets, with its value taken
+        from the distribution; the balance check and a run's report slice
+        the junctions' arcs and distribution in network order, not the table.
         """
         idx = self._arc_index
         net_juncs = net.junctions
@@ -379,6 +382,9 @@ class Simulator:
         kinds = ["diverge", "merge", "general"]
         many_in, many_out = np.minimum(widths, 2) - 1
         kind = many_in * (1 + many_out)
+        # a merge routes exactly 1.0 from each incoming arc; the table and
+        # the run's report both read it from here
+        distribution[(kind == kinds.index("merge")).repeat(counts[2])] = 1.0
         # width classes: 1 to 4, 5 to 8, 9 to 16, ..., counted by the bounds below a width
         width_class = np.zeros(widths.shape, dtype=np.intp)
         bound = 4
@@ -404,11 +410,9 @@ class Simulator:
         ends = slots.cumsum(axis=1)
         first = ends - slots
         n_in_slots, n_out_slots, n_entries, _ = ends[:, -1].tolist()
-        per_row = np.concatenate([first[:3], [pad_in, first[3], t_in, kind[rows]], at[:, rows]])
+        per_row = np.concatenate([first[:3], [pad_in, first[3], t_in], at[:, rows]])
         # each real routing entry, by row, out-slot o, then priority column k
-        first_in, first_out, first_r, stride, entry_at, w_in, entry_kind, arc_at, arc_out_at, dist_at = per_row.repeat(
-            t_size, axis=1
-        )
+        first_in, first_out, first_r, stride, entry_at, w_in, arc_at, arc_out_at, dist_at = per_row.repeat(t_size, axis=1)
         j = np.arange(entry_at.size) - entry_at
         o = j // w_in
         ow = o * w_in
@@ -418,10 +422,8 @@ class Simulator:
         self._e_r = first_r + o * stride + k
         # the incoming arc, among all rows', that is its row's k-th
         ranked = order[arc_at + k]
-        value = distribution[dist_at - arc_at + ow + ranked]
-        value[entry_kind == kinds.index("merge")] = 1.0
         self._routing = np.zeros(n_entries)
-        self._routing[self._e_r] = value
+        self._routing[self._e_r] = distribution[dist_at - arc_at + ow + ranked]
         # the entries of out-slot 0 name every in-slot once, and those of
         # priority column 0 every out-slot; padding is the dead cell
         in_arcs = np.full(n_in_slots, n_arcs, dtype=np.intp)
@@ -431,7 +433,7 @@ class Simulator:
         lead = k == 0
         out_arcs[self._e_out[lead]] = out_arc[(arc_out_at + o)[lead]]
         # by row in network order: its first in-slot, out-slot and routing
-        # entry, and the stride of its routing rows
+        # entry, and the stride of its routing rows; the dynamic exits read it
         base = np.empty((4, n_rows), dtype=np.intp)
         base[:, rows] = per_row[:4]
 
@@ -445,15 +447,14 @@ class Simulator:
         # the boundary totals sum in arc order
         self._inflow_iface = self.arc_first_iface[sources]
         self._outflow_iface = self.arc_last_iface[sinks]
-        # the balance check and a run's junction arcs read each junction's
-        # own arc lists, in network order, not the table
+        # the balance check and a run's report read each junction's own
+        # arcs and distribution, in network order, not the table: its first
+        # incoming arc, outgoing arc and distribution entry, and how many
+        # (a ring has no reservoir or sink rows after its junctions')
         self._junction_ids = [j.id for j in net_juncs]
-        self._balance_in = self.arc_last_iface[incoming]
-        self._balance_out = self.arc_first_iface[outgoing]
-        self._balance_at = [at[0, :n_juncs], at[1, :n_juncs]]
-        # each junction's first in-slot and routing entry, and the stride
-        # of its routing rows
-        self._junction_at = base[[0, 2, 3], :n_juncs]
+        self._junction_in, self._junction_out = in_arc[: len(incoming)], out_arc[: len(outgoing)]
+        self._junction_at, self._junction_counts = at[:, :n_juncs], counts[:, :n_juncs]
+        self._junction_dist = distribution[: counts[2, :n_juncs].sum()].copy()
 
         # dynamic exits (one in, two out) are diverge rows, in network
         # order; _dyn_split holds the flat indices of their splits in routing
@@ -697,8 +698,8 @@ class Simulator:
 
     def junction_balance_residuals(self, snap: FluxSnapshot) -> dict[str, float]:
         """Per-junction |sum incoming - sum outgoing| boundary flux."""
-        inflow = np.add.reduceat(snap.fluxes[self._balance_in], self._balance_at[0])
-        outflow = np.add.reduceat(snap.fluxes[self._balance_out], self._balance_at[1])
+        inflow = np.add.reduceat(snap.fluxes[self.arc_last_iface[self._junction_in]], self._junction_at[0])
+        outflow = np.add.reduceat(snap.fluxes[self.arc_first_iface[self._junction_out]], self._junction_at[1])
         return dict(zip(self._junction_ids, np.abs(inflow - outflow).tolist()))
 
     def arc_boundary_fluxes(self, snap: FluxSnapshot) -> np.ndarray:
@@ -708,35 +709,19 @@ class Simulator:
     def _stepped_junctions(self, n_samples: int) -> tuple[dict, dict]:
         """Each junction's (incoming, outgoing) arc ids and routing as stepped.
 
-        Both come from the balance check's arc lists and the junction
-        table, not from the network.  A routing matrix is one read-only
-        view broadcast over the n_samples samples, (n_samples, n_out,
-        n_in), its columns back in network order; a dynamic junction's
-        entry is its current split, which run replaces.
+        Both are slices of the network-order copies the build kept, not
+        of the network.  A routing matrix is one read-only view broadcast
+        over the n_samples samples, (n_samples, n_out, n_in), exactly 1 on
+        a merge; a dynamic junction's entry is its initial split, which
+        run replaces.
         """
-        # each junction's arcs: arc k ends at interface total_cells + k
-        # and starts at the first face of its cells
-        ins = self._balance_in - self.total_cells
-        outs = np.searchsorted(self.arc_first_iface, self._balance_out)
-        # an incoming arc's in-slot lies at its place in priority order in
-        # its row, and so does its column in the row's routing
-        slot = np.empty(len(self.arc_ids) + 1, dtype=np.intp)
-        slot[self._in_iface - self.total_cells] = np.arange(self._in_iface.size)
-        n_in = np.diff(self._balance_at[0], append=ins.size)
-        in_at, routing_at, stride = np.repeat(self._junction_at, n_in, axis=1)
-        first = routing_at + slot[ins] - in_at
-        # one row per incoming arc, as wide as the most outgoing arcs; a
-        # junction reads only its own
-        width = max(np.diff(self._balance_at[1], append=outs.size), default=0)
-        columns = self._routing.take(first[:, None] + stride[:, None] * np.arange(width), mode="clip")
-        ids, ins, outs = self.arc_ids, ins.tolist(), outs.tolist()
-        in_at = self._balance_at[0].tolist() + [len(ins)]
-        out_at = self._balance_at[1].tolist() + [len(outs)]
+        ids, ins, outs = self.arc_ids, self._junction_in.tolist(), self._junction_out.tolist()
+        rows = zip(self._junction_ids, *self._junction_at.tolist(), *self._junction_counts.tolist())
         arcs, coefficients = {}, {}
-        for k, jid in enumerate(self._junction_ids):
-            a, b, c, d = in_at[k], in_at[k + 1], out_at[k], out_at[k + 1]
-            arcs[jid] = ([ids[i] for i in ins[a:b]], [ids[o] for o in outs[c:d]])
-            coefficients[jid] = np.broadcast_to(columns[a:b, : d - c].T, (n_samples, d - c, b - a))
+        for jid, a, b, e, n_in, n_out, size in rows:
+            arcs[jid] = ([ids[i] for i in ins[a : a + n_in]], [ids[o] for o in outs[b : b + n_out]])
+            routing = self._junction_dist[e : e + size].reshape(n_out, n_in)
+            coefficients[jid] = np.broadcast_to(routing, (n_samples, n_out, n_in))
         return arcs, coefficients
 
     # -- driver --------------------------------------------------------------

@@ -1173,17 +1173,23 @@ def test_each_row_holds_its_arcs_in_priority_order_and_its_routing_block():
     sim = Simulator(net)
     arc = {arc_id: k for k, arc_id in enumerate(sim.arc_ids)}
     widths = set()
-    for n, j in enumerate(net.junctions):
+    for j in net.junctions:
         order = priority_order(j.priority)
         kind = classify(j.distribution)
         n_in, n_out = len(j.incoming), len(j.outgoing)
-        in_at, routing_at, stride = sim._junction_at[:, n].tolist()
+        # the row starts at the one in-slot of its first arc in priority
+        # order; its first routing entry is that in-slot's first, and its
+        # stride is its group's width
+        (in_at,) = np.flatnonzero(sim._in_cell == sim._arc_last_cell[arc[j.incoming[order[0]]]]).tolist()
+        routing_at = int(sim._e_r[np.flatnonzero(sim._e_in == in_at)[0]])
         assert sim._in_cell[in_at : in_at + n_in].tolist() == [
             sim._arc_last_cell[arc[j.incoming[i]]] for i in order
         ], j.id
         (kernel, d, _, routing, _), = [g for g in sim._groups if np.shares_memory(g[1], sim._d[in_at : in_at + 1])]
         assert kernel is KERNELS[kind], j.id
-        assert stride == d.shape[1] == routing.shape[2]
+        stride = d.shape[1]
+        assert routing.shape[2] == stride
+        assert (in_at - (d.ctypes.data - sim._d.ctypes.data) // d.itemsize) % stride == 0, j.id
         widths.add(routing.shape[1:])
         # past its own arcs, its in-slots are padding: the dead cell
         assert np.all(sim._in_cell[in_at + n_in : in_at + stride] == sim.total_cells)
@@ -1199,6 +1205,25 @@ def test_each_row_holds_its_arcs_in_priority_order_and_its_routing_block():
         assert sim._out_cell[out_at : out_at + n_out].tolist() == [sim.arc_first_iface[arc[a]] for a in j.outgoing]
     # groups of width classes past 1-4, 5-8 and 9-16, in and out
     assert max(w_out for w_out, _ in widths) > 8 and max(w_in for _, w_in in widths) > 16
+
+
+def test_run_reports_a_near_1_merge_as_exactly_1():
+    # the merges' entries lie at 1 +- 5e-10; the report routes them
+    # exactly 1, as the table does, and every other junction by its own
+    # distribution, bit for bit
+    net = _tied_network()
+    result = Simulator(net).run(SimConfig(t_end=0.5))
+    merges = 0
+    for j in net.junctions:
+        assert j.coefficient_mode == "static"
+        entry = result.coefficients[j.id]
+        if classify(j.distribution) == "merge":
+            merges += 1
+            assert np.any(j.distribution != 1.0), j.id
+            assert np.all(entry == 1.0), j.id
+        else:
+            assert entry[-1].tobytes() == j.distribution.tobytes(), j.id
+    assert merges == 2
 
 
 def test_the_table_is_built_without_priority_order_or_classify(monkeypatch):

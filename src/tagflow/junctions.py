@@ -22,7 +22,9 @@ n_in)) -> admitted flux (B, n_in), incoming columns in priority order.
 An incoming arc with zero demand, or an outgoing one with a zero
 routing row, changes no junction's answer, so junctions may be padded.
 brute_force_solve is a reference oracle for the tests and demos; no
-simulation calls it, nor linprog, the tests' LP reference.
+simulation calls it.  linprog stays only as a trace target of the
+benchmark's perfbench/spans.py and perfbench/selftest.py; nothing calls
+it, and it goes when the benchmark drops its LP metrics.
 """
 
 from __future__ import annotations
@@ -321,8 +323,9 @@ def solve(p: JunctionProblem) -> JunctionFluxSolution:
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first call.
 
-    Only the tests' LP reference calls it, so a simulation never
-    imports scipy.
+    Kept only as a trace target of perfbench/spans.py and
+    perfbench/selftest.py until the benchmark drops its LP metrics;
+    nothing calls it, so neither a simulation nor the tests import scipy.
     """
     from scipy.optimize import linprog as scipy_linprog
 

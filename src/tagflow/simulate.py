@@ -717,11 +717,12 @@ class Simulator:
         """
         ids, ins, outs = self.arc_ids, self._junction_in.tolist(), self._junction_out.tolist()
         rows = zip(self._junction_ids, *self._junction_at.tolist(), *self._junction_counts.tolist())
+        # one broadcast for all junctions: numpy's per-call cost dwarfs a slice
+        samples = np.broadcast_to(self._junction_dist, (n_samples, self._junction_dist.size))
         arcs, coefficients = {}, {}
         for jid, a, b, e, n_in, n_out, size in rows:
             arcs[jid] = ([ids[i] for i in ins[a : a + n_in]], [ids[o] for o in outs[b : b + n_out]])
-            routing = self._junction_dist[e : e + size].reshape(n_out, n_in)
-            coefficients[jid] = np.broadcast_to(routing, (n_samples, n_out, n_in))
+            coefficients[jid] = samples[:, e : e + size].reshape(n_samples, n_out, n_in)
         return arcs, coefficients
 
     # -- driver --------------------------------------------------------------

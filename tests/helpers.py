@@ -4,6 +4,7 @@ import json
 import math
 import time as _time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,66 @@ def presolve_fits_reference(demands: np.ndarray, supplies: np.ndarray, routing: 
         fits &= np.minimum.reduce(room, axis=1) >= demands[:, i]
         slack = slack - demands[:, i, None] * rate
     return fits
+
+
+# A reduced cost this close to zero ties in exact_junction, as in the model
+_TIE = Fraction(1, 10**9)
+
+
+def exact_junction(demands, supplies, routing) -> list[Fraction]:
+    """The lexicographic optimum of one junction, in exact rationals.
+
+    Maximizes the total admitted flux, then each incoming arc in column
+    order, over 0 <= gamma <= demands and routing @ gamma <= supplies.
+    A dense Fraction tableau over [R I 0; I 0 I] x = [s; d], from the
+    slack basis, is pivoted by Bland's rule (Chvatal, Linear
+    Programming, 1983, ch. 3 and 8), so no stage cycles.  After each
+    stage every nonbasic variable whose reduced cost is not a tie is
+    fixed at zero, which keeps the stages before it optimal (Isermann,
+    OR Spektrum 4, 1982).  A reduced cost within _TIE of zero is a tie,
+    as in the model: float data that the model means to tie (columns
+    that sum to one, equal shares) tie only to an ulp.
+    """
+    n_in, n_out = len(demands), len(supplies)
+    n = 2 * n_in + n_out
+    rows = []
+    for k, bound in enumerate([*supplies, *demands]):
+        row = [Fraction(0)] * (n + 1)
+        if k < n_out:
+            row[:n_in] = map(Fraction, routing[k])
+        else:
+            row[k - n_out] = Fraction(1)
+        row[n_in + k], row[n] = Fraction(1), Fraction(bound)
+        rows.append(row)
+    basis = list(range(n_in, n))
+    fixed = [False] * n
+    for stage in [None, *range(n_in)]:
+        cost = [int(stage is None or j == stage) if j < n_in else 0 for j in range(n)]
+        # the reduced costs: the cost row less the basic costs' rows
+        reduced = [*cost, 0]
+        for row, b in zip(rows, basis):
+            if cost[b]:
+                reduced = [r - v for r, v in zip(reduced, row)]
+        rows.append(reduced)
+        while True:
+            enter = next((j for j in range(n) if not fixed[j] and reduced[j] > _TIE), None)
+            if enter is None:
+                break
+            # of the rows that bind first, the one whose basic variable is lowest
+            bind = [(row[n] / row[enter], b, k) for k, (row, b) in enumerate(zip(rows, basis)) if row[enter] > 0]
+            leave = min(bind)[2]
+            top = rows[leave][enter]
+            rows[leave] = pivot = [v / top if v else v for v in rows[leave]]
+            for k, row in enumerate(rows):
+                if k != leave and row[enter]:
+                    f = row[enter]
+                    rows[k] = [v - f * p if p else v for v, p in zip(row, pivot)]
+            basis[leave] = enter
+            reduced = rows[-1]
+        fixed = [f or abs(r) > _TIE for f, r in zip(fixed, reduced)]
+        rows.pop()
+    value = dict(zip(basis, (row[n] for row in rows)))
+    return [value.get(i, Fraction(0)) for i in range(n_in)]
 
 
 def random_network(rng: np.random.Generator, model: FluxModel | None = None) -> Network:

@@ -75,6 +75,8 @@ class JunctionProblem:
         d = np.atleast_1d(np.asarray(self.demands, dtype=float))
         s = np.atleast_1d(np.asarray(self.supplies, dtype=float))
         a = np.atleast_2d(np.asarray(self.distribution, dtype=float))
+        if d.size == 0 or s.size == 0:
+            raise ValueError("a junction needs at least one incoming and one outgoing arc")
         p = self.priority
         p = np.full(d.shape, 1.0 / d.size) if p is None else np.atleast_1d(np.asarray(p, dtype=float))
         object.__setattr__(self, "demands", d)

@@ -12,17 +12,18 @@ does not fit the schema, config values included),
 NetworkValidationError (well-formed scenario whose network breaks an
 invariant, as Simulator(net) reports it too).
 
-The package's scenario.schema.json is the only description of a
-scenario: parse_scenario checks the JSON against it, filling in its
-defaults, and then hands the fields straight to the dataclasses.
+The package's scenario.schema.json is the only list of a scenario's
+fields: parse_scenario checks the JSON against it, filling in its
+defaults, and write_scenario walks it to write every field back.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from importlib import resources
+
+import numpy as np
 
 from .flux import FluxModel
 from .network import Arc, BoundaryCondition, InvalidInputError, Junction, Network, NetworkValidationError
@@ -85,13 +86,15 @@ def _audit(schema: dict, where: str = "#") -> dict:
 _SCHEMA = _audit(
     json.loads(resources.files(__package__).joinpath("scenario.schema.json").read_text())
 )
+# the one JSON key that is not its attribute's name
+_ATTRIBUTE = {"arc": "arc_id"}
 
 
 def _check(value, schema: dict, path: str, errors: list[str]):
     """Check value against schema, appending 'path: message' complaints.
 
-    Returns a fresh copy with defaults filled in and every number a
-    finite float; the copy is only meaningful when nothing was appended.
+    Returns a fresh copy keyed by attribute names, with defaults filled in
+    and every number a finite float; only meaningful when nothing was appended.
     """
     where = path or "scenario"
     kind = schema.get("type")
@@ -133,7 +136,7 @@ def _check(value, schema: dict, path: str, errors: list[str]):
         out = {}
         for key, item in value.items():
             if key in properties:
-                out[key] = _check(item, properties[key], prefix + key, errors)
+                out[_ATTRIBUTE.get(key, key)] = _check(item, properties[key], prefix + key, errors)
             elif schema.get("additionalProperties", True):
                 out[key] = item
             else:
@@ -144,7 +147,7 @@ def _check(value, schema: dict, path: str, errors: list[str]):
             if key in schema.get("required", ()):
                 errors.append(f"{prefix}{key}: missing required field")
             elif "default" in sub:
-                out[key] = _check(sub["default"], sub, prefix + key, errors)
+                out[_ATTRIBUTE.get(key, key)] = _check(sub["default"], sub, prefix + key, errors)
         return out
     return value
 
@@ -181,9 +184,7 @@ def parse_scenario(text: str) -> tuple[Network, SimConfig]:
         model=FluxModel(**data["flux_model"]),
         arcs=[Arc(**arc) for arc in data["arcs"]],
         junctions=[Junction(**junc) for junc in data["junctions"]],
-        boundary_conditions=[
-            BoundaryCondition(arc_id=bc.pop("arc"), **bc) for bc in data["boundary_conditions"]
-        ],
+        boundary_conditions=[BoundaryCondition(**bc) for bc in data["boundary_conditions"]],
     )
     report = net.validate()
     if report:
@@ -192,32 +193,30 @@ def parse_scenario(text: str) -> tuple[Network, SimConfig]:
 
 
 def write_scenario(net: Network, config: SimConfig | None = None) -> str:
-    """Canonical scenario text; parse(write(parse(x))) == parse(x)."""
-    config = config or SimConfig()
-    payload = {
-        "flux_model": {"v_max": net.model.v_max, "rho_max": net.model.rho_max},
-        "arcs": [
-            {"id": a.id, "a": a.a, "b": a.b, "n_cells": a.n_cells, "kind": a.kind}
-            for a in net.arcs
-        ],
-        "junctions": [],
-        "boundary_conditions": [
-            {"arc": bc.arc_id, "rho_bar": bc.rho_bar, "tracer_in": bc.tracer_in}
-            for bc in net.boundary_conditions
-        ],
-        "config": dataclasses.asdict(config),
+    """Canonical scenario text, walking the schema; parse(write(parse(x))) == parse(x)."""
+    sections = {
+        "flux_model": net.model,
+        "arcs": net.arcs,
+        "junctions": net.junctions,
+        "boundary_conditions": net.boundary_conditions,
+        "config": config or SimConfig(),
     }
-    for junc in net.junctions:
-        entry = {
-            "id": junc.id,
-            "incoming": list(junc.incoming),
-            "outgoing": list(junc.outgoing),
-            "distribution": junc.distribution.tolist(),
-            "priority": junc.priority.tolist(),
-            "coefficient_mode": junc.coefficient_mode,
-        }
-        if junc.coefficient_mode == "dynamic":
-            entry["exit_arc"] = junc.exit_arc
-            entry["exit_tracer"] = junc.exit_tracer
-        payload["junctions"].append(entry)
+    payload = {name: _write(sections[name], spec) for name, spec in _SCHEMA["properties"].items()}
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(value, schema: dict):
+    """value as JSON data: an object as its attribute for each property, in
+    the schema's order, with None left out; an ndarray as a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if "items" in schema:
+        return [_write(item, schema["items"]) for item in value]
+    if "properties" not in schema:
+        return value
+    out = {}
+    for key, sub in schema["properties"].items():
+        field = getattr(value, _ATTRIBUTE.get(key, key))
+        if field is not None:
+            out[key] = _write(field, sub)
+    return out

@@ -296,7 +296,6 @@ class Simulator:
         self._phi = np.concatenate([head, tracer, [0.0]]) if self._dyn_ids else None
         self._work = np.empty(self.total_cells)
         self._dx_cells = float(self.dx[0]) if np.all(self.dx == self.dx[0]) else self.dx_cell
-        self._lam_cache: tuple[float | None, float | np.ndarray | None] = (None, None)
 
     # -- layout ------------------------------------------------------------
 
@@ -614,14 +613,6 @@ class Simulator:
 
     # -- phase 2 -----------------------------------------------------------
 
-    def _lambda(self, dt: float) -> float | np.ndarray:
-        """dt / dx per cell, or one float when every arc has the same dx."""
-        key, lam = self._lam_cache
-        if key != dt:
-            lam = dt / self._dx_cells
-            self._lam_cache = (dt, lam)
-        return lam
-
     def apply(self, state: SimState, snap: FluxSnapshot, dt: float, inplace: bool = False) -> SimState:
         """Phase 2: advance state by dt using a snapshot of its fluxes.
 
@@ -633,7 +624,7 @@ class Simulator:
         range checks; a failed tracer check leaves state half updated.
         """
         out = state if inplace else state.copy()
-        lam = self._lambda(dt)
+        lam = dt / self._dx_cells  # one float when every arc has the same dx
         n, last = self.total_cells, self._arc_last_cell
 
         F = snap.fluxes
@@ -761,7 +752,6 @@ class Simulator:
         last_dt = dt if last_dt >= dt - eps else last_dt
         update = config.coefficient_mode != "static"
         state = self.init_state()
-        initial_splits = state.exit_splits.copy()
 
         times: list[float] = []
         flux_rows: list[np.ndarray] = []
@@ -805,7 +795,7 @@ class Simulator:
                 held = _state_bytes(state) if sampled and step_dt == dt else None
                 self.apply(state, snap, step_dt, inplace=True)
                 if not update:
-                    state.exit_splits[:] = initial_splits
+                    state.exit_splits[:] = self._dyn_initial
                 if held is not None and _state_bytes(state) == held:
                     fixed_point_time = times[-1]
             state.time = config.t_end if last else (k + 1) * dt

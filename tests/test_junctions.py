@@ -83,6 +83,10 @@ def test_dimension_mismatch_raises():
         make([0.1, 0.2], [0.3], [[1.0]])
     with pytest.raises(ValueError):
         make([0.1], [0.3], [[1.0]], priority=[0.5, 0.5])
+    with pytest.raises(ValueError, match="at least one incoming and one outgoing"):
+        make([], [1.0], np.zeros((1, 0)))
+    with pytest.raises(ValueError, match="at least one incoming and one outgoing"):
+        make([0.1], [], np.zeros((0, 1)))
 
 
 def test_negative_inputs_raise():

@@ -7,7 +7,7 @@ import pytest
 
 from tagflow import scenario
 from tagflow.flux import FluxModel
-from tagflow.network import build_roundabout
+from tagflow.network import Arc, BoundaryCondition, Junction, build_roundabout
 from tagflow.scenario import (
     NetworkValidationError,
     ScenarioSchemaError,
@@ -149,11 +149,27 @@ def test_minimal_scenario_defaults():
     assert net.validate() == []
 
 
-def test_schema_config_defaults_match_simconfig():
+@pytest.mark.parametrize(
+    "section, cls",
+    [
+        ("flux_model", FluxModel),
+        ("arcs", Arc),
+        ("junctions", Junction),
+        ("boundary_conditions", BoundaryCondition),
+        ("config", SimConfig),
+    ],
+)
+def test_schema_properties_are_the_init_fields(section, cls):
     schema = json.loads((Path(__file__).parent.parent / "src" / "tagflow" / "scenario.schema.json").read_text())
-    properties = schema["properties"]["config"]["properties"]
-    documented = {name: spec["default"] for name, spec in properties.items()}
-    assert documented == dataclasses.asdict(SimConfig())
+    spec = schema["properties"][section]
+    properties = spec.get("items", spec)["properties"]
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    # the one key that is not its attribute's name
+    assert [{"arc": "arc_id"}.get(key, key) for key in properties] == [f.name for f in fields]
+    # a default the schema leaves out is None, as for Junction.priority
+    for key, f in zip(properties, fields):
+        if f.default is not dataclasses.MISSING:
+            assert properties[key].get("default") == f.default, key
 
 
 BUNDLED = json.loads((Path(__file__).parent.parent / "demos" / "roundabout.json").read_text())
@@ -177,6 +193,15 @@ def _bundled_with(*edits):
     for sentinel, literal in literals.items():
         text = text.replace(sentinel, literal)
     return text
+
+
+def test_static_junction_exit_fields_survive_a_round_trip():
+    text = _bundled_with((("junctions", 0, "exit_arc"), '"S1C"'), (("junctions", 0, "exit_tracer"), "0"))
+    net, config = parse_scenario(text)
+    junc = net.junctions[0]
+    assert (junc.coefficient_mode, junc.exit_arc, junc.exit_tracer) == ("static", "S1C", 0.0)
+    again = parse_scenario(write_scenario(net, config))[0].junctions[0]
+    assert (again.exit_arc, again.exit_tracer) == ("S1C", 0.0)
 
 
 NUMBER_FIELDS = {

@@ -207,9 +207,12 @@ def write_scenario(net: Network, config: SimConfig | None = None) -> str:
 
 def _write(value, schema: dict):
     """value as JSON data: an object as its attribute for each property, in
-    the schema's order, with None left out; an ndarray as a list."""
+    the schema's order, with None left out; an ndarray as a list and a
+    numpy scalar as its Python value."""
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
     if "items" in schema:
         return [_write(item, schema["items"]) for item in value]
     if "properties" not in schema:

@@ -153,7 +153,11 @@ class FluxSnapshot:
 
 @dataclass
 class RunResult:
-    """Sampled trajectory of a run plus summary figures."""
+    """Sampled trajectory of a run plus summary figures.
+
+    times, arc_fluxes, density and tracer are the filled leading rows of
+    the arrays run allocated before its first step, views with no copy.
+    """
 
     arc_ids: list[str]
     cells_per_arc: dict[str, int]
@@ -727,6 +731,12 @@ class Simulator:
         when a step ends there.  A run of more than MAX_STEPS steps is
         refused with an InvalidInputError before the first step.
 
+        The history is allocated once, before the first step, with a row
+        for every sample the run can take: at most one per step and one
+        per sample time, plus the closing sample.  Each sample is written
+        into its own row, rows never written are never touched, and the
+        result holds the filled leading rows.
+
         compute_fluxes reads only the state: the reservoir slots and the
         tables are fixed when the Simulator is built, and every work
         buffer is rewritten from the state each step.  With dt fixed, a
@@ -753,11 +763,14 @@ class Simulator:
         update = config.coefficient_mode != "static"
         state = self.init_state()
 
-        times: list[float] = []
-        flux_rows: list[np.ndarray] = []
-        split_rows: list[np.ndarray] = []
-        density_rows: list[np.ndarray] = []
-        tracer_rows: list[np.ndarray] = []
+        # at most one sample per step and one per sample time, plus the closing one
+        rows = min(n_steps, math.floor((config.t_end + eps) / config.sample_interval) + 1) + 1
+        times = np.empty(rows)
+        flux_rows = np.empty((rows, len(self.arc_ids)))
+        split_rows = np.empty((rows, *state.exit_splits.shape))
+        density_rows = np.empty((rows, state.rho.size)) if config.record_profiles else None
+        tracer_rows = None if density_rows is None or state.phi is None else np.empty((rows, state.phi.size))
+        n_samples = 0
         arrived = np.zeros(len(self._dyn_ids), dtype=bool)
         arrival_time = np.zeros(arrived.size)
         arrival_split = np.zeros((arrived.size, 2))
@@ -770,13 +783,15 @@ class Simulator:
         wall_start = _time.perf_counter()
 
         def record(snap: FluxSnapshot, t: float):
-            times.append(t)
-            flux_rows.append(self.arc_boundary_fluxes(snap))
-            split_rows.append(state.exit_splits.copy())
-            if config.record_profiles:
-                density_rows.append(state.rho.copy())
-                if state.phi is not None:
-                    tracer_rows.append(state.phi.copy())
+            nonlocal n_samples
+            times[n_samples] = t
+            flux_rows[n_samples] = self.arc_boundary_fluxes(snap)
+            split_rows[n_samples] = state.exit_splits
+            if density_rows is not None:
+                density_rows[n_samples] = state.rho
+            if tracer_rows is not None:
+                tracer_rows[n_samples] = state.phi
+            n_samples += 1
 
         for k in range(n_steps):
             last = k == n_steps - 1
@@ -797,7 +812,7 @@ class Simulator:
                 if not update:
                     state.exit_splits[:] = self._dyn_initial
                 if held is not None and _state_bytes(state) == held:
-                    fixed_point_time = times[-1]
+                    fixed_point_time = float(times[n_samples - 1])
             state.time = config.t_end if last else (k + 1) * dt
             if waiting:
                 new = ~arrived & (snap.fluxes[self._dyn_in_iface] >= EPS_FLUX)
@@ -811,18 +826,16 @@ class Simulator:
         wall = _time.perf_counter() - wall_start
         mass_residual = abs(self.total_mass(state) - mass_start - boundary_integral)
 
-        times_arr = np.asarray(times)
-        flux_arr = np.asarray(flux_rows)
+        times, flux_rows, split_rows = times[:n_samples], flux_rows[:n_samples], split_rows[:n_samples]
         equilibrium_time = detect_equilibrium(
-            times_arr, flux_arr, config.equilibrium_window, config.equilibrium_tol
+            times, flux_rows, config.equilibrium_window, config.equilibrium_tol
         )
         final_fluxes = {
-            arc_id: float(flux_arr[-1, k]) for k, arc_id in enumerate(self.arc_ids)
+            arc_id: float(flux_rows[-1, k]) for k, arc_id in enumerate(self.arc_ids)
         }
-        junction_arcs, coefficients = self._stepped_junctions(len(times))
-        splits = np.asarray(split_rows)
+        junction_arcs, coefficients = self._stepped_junctions(n_samples)
         for k, jid in enumerate(self._dyn_ids):
-            coefficients[jid] = splits[:, k, :, None].copy()
+            coefficients[jid] = split_rows[:, k, :, None].copy()
         first_arrival = {
             jid: (float(arrival_time[k]), arrival_split[k].copy())
             for k, jid in enumerate(self._dyn_ids)
@@ -845,11 +858,11 @@ class Simulator:
             arc_ids=list(self.arc_ids),
             cells_per_arc=dict(zip(self.arc_ids, self.n_cells.tolist())),
             junction_arcs=junction_arcs,
-            times=times_arr,
-            arc_fluxes=flux_arr,
+            times=times,
+            arc_fluxes=flux_rows,
             coefficients=coefficients,
-            density=np.asarray(density_rows) if density_rows else None,
-            tracer=np.asarray(tracer_rows) if tracer_rows else None,
+            density=None if density_rows is None else density_rows[:n_samples],
+            tracer=None if tracer_rows is None else tracer_rows[:n_samples],
             first_arrival_coefficients=first_arrival,
             equilibrium_time=equilibrium_time,
             summary=summary,

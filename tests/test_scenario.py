@@ -204,6 +204,27 @@ def test_static_junction_exit_fields_survive_a_round_trip():
     assert (again.exit_arc, again.exit_tracer) == ("S1C", 0.0)
 
 
+def _with_float32_start(net):
+    net.arcs[0] = dataclasses.replace(net.arcs[0], a=np.float32(0.0))
+    return net
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        build_roundabout(0.5, 0.5, 0.1, 0.1, cells_per_arc=np.int64(8)),
+        _with_float32_start(build_roundabout(0.5, 0.5, 0.1, 0.1, cells_per_arc=8)),
+    ],
+    ids=["int64-cells", "float32-start"],
+)
+def test_numpy_scalar_fields_are_written_as_numbers(net):
+    assert net.validate() == []
+    text = write_scenario(net)
+    again, config = parse_scenario(text)
+    assert again.validate() == []
+    assert write_scenario(again, config) == text
+
+
 NUMBER_FIELDS = {
     "flux_model.v_max": ("flux_model", "v_max"),
     "config.t_end": ("config", "t_end"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -645,6 +646,11 @@ REPLAY_CASES = {
     "no-tracer": (lambda: single_arc_network(UNIT, 10, 0.3), SimConfig(t_end=20.0), True),
     "still-from-the-start": (ring_network, SimConfig(t_end=20.0), True),
     "moving": (_small_roundabout, SimConfig(t_end=30.0), False),
+    # the history's row bound: an interval longer than the run (2 samples),
+    # one short step (dt is 1/6), an interval on neither grid (430 samples)
+    "interval-past-the-end": (_small_roundabout, SimConfig(t_end=30.0, sample_interval=50.0), False),
+    "one-short-step": (_small_roundabout, SimConfig(t_end=0.1), False),
+    "off-both-grids": (_small_roundabout, SimConfig(t_end=299.9, sample_interval=0.7), True),
 }
 
 
@@ -691,6 +697,20 @@ def test_run_replays_a_still_state_bit_for_bit(name, monkeypatch):
         computed = round(fixed / dt) + 1 + short
     # and once more for the closing sample
     assert len(calls) == computed + 1
+
+
+def test_run_holds_its_history_once():
+    # the profiles are most of a recorded run's memory: a run that held a
+    # second copy of them at any moment would peak near twice their size
+    sim = Simulator(build_roundabout(0.5, 0.5, 0.05, 0.05))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        res = sim.run(SimConfig(t_end=100.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (res.density.nbytes + res.tracer.nbytes)
 
 
 def test_merge_within_column_tolerance_skips_the_lp(monkeypatch):

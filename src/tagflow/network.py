@@ -22,7 +22,13 @@ converges to.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, count, filterfalse, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -113,10 +119,15 @@ class Junction:
     def __post_init__(self):
         self.incoming = list(self.incoming)
         self.outgoing = list(self.outgoing)
-        self.distribution = np.atleast_2d(np.asarray(self.distribution, dtype=float))
         if self.priority is None:
             self.priority = [1.0 / max(len(self.incoming), 1)] * len(self.incoming)
-        self.priority = np.atleast_1d(np.asarray(self.priority, dtype=float))
+        # one numpy call each, as np.atleast_2d / np.atleast_1d of
+        # np.asarray(.., dtype=float): a float array is kept, not copied,
+        # and a reshape only adds the leading axes those would add
+        distribution = np.asarray(self.distribution, dtype=float)
+        self.distribution = distribution if distribution.ndim > 1 else distribution.reshape(1, -1)
+        priority = np.asarray(self.priority, dtype=float)
+        self.priority = priority if priority.ndim else priority.reshape(1)
 
 
 @dataclass
@@ -173,180 +184,389 @@ class Network:
     def validate(self) -> list[str]:
         """Return the list of violated invariants; empty means valid.
 
-        Every junction's numbers, its distribution's shape, entries and
-        column masses and its priority's length, entries and sum, are
-        judged first, in one pass over all junctions (_number_faults).
-        Only a junction that fails there runs the code that words its
-        faults, so each report keeps its text and its place.  The ids,
-        the arc references and the connectivity are checked arc by arc
-        and junction by junction.
+        The network is read once (_Flat): every arc's fields, and every
+        junction's arcs, as positions, and widths into flat lists, and
+        every junction's distribution, row by row, and priority into one
+        array.  It is judged from that read in one pass, a group of rules
+        at a time for the whole network: ids, references, widths, modes,
+        boundary conditions and arc ends with set, dict and map calls,
+        every junction's numbers with one np.bincount over the array,
+        and connectivity with a union-find over the junctions that share
+        an arc.  Only a group that fails runs the code that words its
+        faults, and the junctions' only for the junctions that fail, so
+        each report keeps its text and its place; a valid network runs
+        none of it.  A Simulator judges its own read the same way.
         """
-        errors: list[str] = []
-        position: dict[str, int] = {}  # arc id -> index of its first arc
-        for k, arc in enumerate(self.arcs):
-            if position.setdefault(arc.id, k) != k:
-                errors.append(f"arc {arc.id}: duplicate id")
-            if not _CSV_SPECIAL.isdisjoint(arc.id):
-                errors.append(f"arc {arc.id!r}: id holds a comma, quote or line break")
-            if not math.isfinite(arc.b - arc.a):  # also NaN or infinite ends
-                errors.append(f"arc {arc.id}: a={arc.a}, b={arc.b} give no finite length")
-            elif not arc.b > arc.a:
-                errors.append(f"arc {arc.id}: b={arc.b} must exceed a={arc.a}")
-            if arc.n_cells < 1:
-                errors.append(f"arc {arc.id}: n_cells must be >= 1")
-            if arc.kind not in ARC_KINDS:
-                errors.append(f"arc {arc.id}: unknown kind {arc.kind!r}")
-        if not self.arcs:
+        return _Flat(self).faults()
+
+
+_SHAPE = attrgetter("shape")
+_MODES = ("static", "dynamic")
+
+
+def _holds_csv_special(ids) -> bool:
+    """Whether some id holds a character the CSV output cannot write unquoted."""
+    text = "".join(ids)
+    return any(c in text for c in _CSV_SPECIAL)
+
+
+def _is_count(n) -> bool:
+    """Whether n is an integer, a numpy one too, and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+class _Flat:
+    """A network read once into flat lists and one array.
+
+    Per arc, in order: arc_ids, a, n_cells, kinds, and lengths, each
+    b - a; position maps an id to its first arc.  Per junction, in
+    order: junction_ids, ins and outs (its incoming and outgoing
+    lists), n_in, n_out, distributions, priorities, modes, exit_arcs and
+    exit_tracers; dynamic lists the dynamic ones.  numbers holds every
+    junction's distribution entries, row by row, then every junction's
+    priority weights.  incoming holds every junction's incoming arcs,
+    junction by junction, as positions, None for an id no arc has;
+    likewise outgoing.  sources and sinks list, in order, the arcs no
+    junction produces and those none consumes.  Per boundary condition:
+    bc_arc_ids, rho_bar, tracer_in.
+    Network.validate judges these (faults), and a Simulator judges them
+    and builds its table from them, so it reads each junction once.
+    """
+
+    def __init__(self, net: Network):
+        self.net = net
+        # a field at a time: a tuple per item would wake the cyclic GC
+        arcs, juncs, bcs = net.arcs, net.junctions, net.boundary_conditions
+        self.arc_ids, self.a, self.n_cells = [a.id for a in arcs], [a.a for a in arcs], [a.n_cells for a in arcs]
+        self.lengths, self.kinds = [a.b - a.a for a in arcs], [a.kind for a in arcs]
+        # read backwards, so that a duplicate id keeps its first position
+        self.position = dict(zip(reversed(self.arc_ids), range(len(arcs) - 1, -1, -1)))
+        self.junction_ids = [j.id for j in juncs]
+        self.ins, self.outs = [j.incoming for j in juncs], [j.outgoing for j in juncs]
+        self.distributions, self.priorities = [j.distribution for j in juncs], [j.priority for j in juncs]
+        self.modes, self.exit_arcs = [j.coefficient_mode for j in juncs], [j.exit_arc for j in juncs]
+        self.exit_tracers = [j.exit_tracer for j in juncs]
+        self.n_in, self.n_out = list(map(len, self.ins)), list(map(len, self.outs))
+        self.numbers = np.concatenate(self.distributions + self.priorities + [_NO_ENTRIES], axis=None, dtype=float)
+        self.dynamic = list(compress(count(), map(operator.eq, self.modes, repeat("dynamic"))))
+        self.incoming = list(map(self.position.get, chain.from_iterable(self.ins)))
+        self.outgoing = list(map(self.position.get, chain.from_iterable(self.outs)))
+        fed, drained = set(self.outgoing), set(self.incoming)
+        self.sources = list(filterfalse(fed.__contains__, range(len(arcs))))
+        self.sinks = list(filterfalse(drained.__contains__, range(len(arcs))))
+        self.bc_arc_ids, self.rho_bar = [bc.arc_id for bc in bcs], [bc.rho_bar for bc in bcs]
+        self.tracer_in = [bc.tracer_in for bc in bcs]
+
+    def faults(self) -> list[str]:
+        """The report of Network.validate; see there.
+
+        Each group of rules is judged for the whole network at once;
+        only a group that fails runs the function that words it, and
+        _junction_faults only for the junctions that fail.
+        """
+        net, position, n_cells, kinds = self.net, self.position, self.n_cells, self.kinds
+        n_arcs = len(self.arc_ids)
+        arcs_ok = (
+            len(position) == n_arcs
+            and not _holds_csv_special(self.arc_ids)
+            # NaN or an infinite length makes the sum non-finite
+            and math.isfinite(sum(self.lengths))
+            and min(self.lengths, default=1.0) > 0.0
+            and set(map(type, n_cells)) <= {int}
+            and min(n_cells, default=1) >= 1
+            and sum(map(kinds.count, ARC_KINDS)) == n_arcs
+        )
+        errors = [] if arcs_ok else _arc_faults(net.arcs, position)
+        if not n_arcs:
             errors.append("network has no arcs")
-        total_cells = sum(int(arc.n_cells) for arc in self.arcs)  # Python ints never overflow
-        if total_cells + len(self.arcs) > _MAX_INTERFACES:
+        # Python ints never overflow
+        total_cells = sum(n_cells) if arcs_ok else sum(int(n) for n in n_cells if _is_count(n))
+        if total_cells + n_arcs > _MAX_INTERFACES:
             errors.append(f"network has {total_cells} cells, more than an array can index")
 
-        # connectivity: union-find over arc positions, ignoring direction;
-        # each junction id joins its arcs to the first arc it named
-        parent = list(range(len(self.arcs)))
+        junction_ids = self.junction_ids
+        n_juncs = len(junction_ids)
+        # by position, the junction that consumes and the one that
+        # produces each arc (the last, where several do); None keys a
+        # dangling id
+        owner_in = chain.from_iterable(map(repeat, range(n_juncs), self.n_in))
+        owner_out = chain.from_iterable(map(repeat, range(n_juncs), self.n_out))
+        consumer, producer = dict(zip(self.incoming, owner_in)), dict(zip(self.outgoing, owner_out))
+        first = dict(zip(reversed(junction_ids), range(n_juncs - 1, -1, -1)))
+        # two ids are never one position, but every dangling one is None
+        once = len(consumer) == len(self.incoming) and len(producer) == len(self.outgoing)
+        # every arc a junction names is one arc, consumed and produced at
+        # most once, and every junction id is one junction's
+        plain = once and None not in consumer and None not in producer and len(first) == n_juncs
+        # a junction with no incoming or no outgoing arc fails the number
+        # check below: its priority has no weights, or its columns no entries
+        junctions_ok = (
+            plain
+            and not _holds_csv_special(junction_ids)
+            # so an arc appears twice in a junction only as its own
+            # incoming and outgoing arc
+            and not any(map(operator.eq, map(consumer.get, producer), producer.values()))
+            and sum(map(self.modes.count, _MODES)) == n_juncs
+            and all(
+                (self.n_in[k], self.n_out[k]) == (1, 2)
+                and self.exit_arcs[k] in self.outs[k]
+                and self.exit_tracers[k] in (0.0, 1.0)
+                for k in self.dynamic
+            )
+        )
+        # every junction's numbers in one pass over numbers: each
+        # distribution's entries, row by row, add into a segment per
+        # column, and each priority's into one, segments that must each
+        # sum to 1.  A junction fails when its distribution's shape or its
+        # priority's length is wrong, when an entry of either is NaN or
+        # lies outside [0, 1 + 1e-12], or when a segment's sum is off 1 by
+        # more than _COLUMN_TOL.  That takes in every junction
+        # _junction_faults reports a number of, and a few it passes: a
+        # priority weight in [-1e-12, 0), a distribution entry just above
+        # 1, a priority of no weights.  bincount adds its weights in order,
+        # so a column's mass is summed in row order and a priority's
+        # weights one by one from 0, as _junction_faults sums them: a sum
+        # at 1 within a rounding of the tolerance gets the same verdict.
+        cols, rows, lens = self.n_in, self.n_out, self.n_in
+        faulty = set()
+        # compared one by one: a list of shapes would wake the cyclic GC
+        if not (
+            all(map(operator.eq, map(_SHAPE, self.distributions), zip(self.n_out, self.n_in)))
+            and all(map(operator.eq, map(_SHAPE, self.priorities), zip(self.n_in)))
+        ):
+            # a misshapen junction fails outright; its entries are summed
+            # as one column, so that every entry has a segment
+            cols, rows, lens = list(cols), list(rows), list(lens)
+            for k, (d, p) in enumerate(zip(self.distributions, self.priorities)):
+                if d.shape != (self.n_out[k], self.n_in[k]) or p.shape != (self.n_in[k],):
+                    faulty.add(k)
+                    cols[k], rows[k], lens[k] = 1, d.size, p.size
+        # each entry's segment, in the order of numbers: a distribution's
+        # columns in turn, once per row, then one segment per priority past
+        # all the columns.  By row of every distribution: its width, and
+        # how far its entries' places in numbers run past their segments
+        col_at = list(accumulate(cols, initial=0))
+        n_cols = col_at[-1]
+        width = np.array(cols, dtype=np.intp).repeat(rows)
+        shift = width.cumsum() - width - np.array(col_at[:-1], dtype=np.intp).repeat(rows)
+        entries = np.arange(len(self.numbers) - sum(lens)) - shift.repeat(width)
+        segment = np.concatenate([entries, np.arange(n_cols, n_cols + n_juncs).repeat(lens)])
+        # an entry outside [0, 1 + 1e-12], or NaN, counts as 2, which puts
+        # its segment's sum off 1
+        values = self.numbers.copy()
+        values[~(np.minimum(values, 1.0 + 1e-12 - values) >= 0.0)] = 2.0
+        off = np.bincount(segment, weights=values, minlength=n_cols + n_juncs) - 1.0
+        bad = (np.abs(off) > _COLUMN_TOL).nonzero()[0].tolist()
+        if bad:
+            # the columns come first, junction by junction
+            faulty.update(bisect_right(col_at, s) - 1 if s < n_cols else s - n_cols for s in bad)
 
-        def find(k: int) -> int:
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
+        # a junction that fails there is worded, or every junction when
+        # another of their rules fails
+        for k in sorted(faulty) if junctions_ok else range(n_juncs):
+            errors += _junction_faults(net.junctions[k], first[junction_ids[k]] != k, position, k in faulty)
+        if not once:
+            errors += _use_faults(chain.from_iterable(self.ins), chain.from_iterable(self.outs))
 
-        seen_j: set[str] = set()
-        anchor: dict[str, int] = {}
-        used_as_in: dict[str, int] = {}
-        used_as_out: dict[str, int] = {}
-        for junc, faulty in zip(self.junctions, _number_faults(self.junctions)):
-            if junc.id in seen_j:
-                errors.append(f"junction {junc.id}: duplicate id")
-            seen_j.add(junc.id)
-            if not _CSV_SPECIAL.isdisjoint(junc.id):
-                errors.append(f"junction {junc.id!r}: id holds a comma, quote or line break")
-            for arc_ids, used in ((junc.incoming, used_as_in), (junc.outgoing, used_as_out)):
-                for arc_id in arc_ids:
-                    used[arc_id] = used.get(arc_id, 0) + 1
-                    k = position.get(arc_id)
-                    if k is None:
-                        errors.append(f"junction {junc.id}: dangling reference to arc {arc_id}")
-                    else:
-                        parent[find(k)] = find(anchor.setdefault(junc.id, k))
-            n_in, n_out = len(junc.incoming), len(junc.outgoing)
-            if len(set(junc.incoming + junc.outgoing)) != n_in + n_out:
-                errors.append(f"junction {junc.id}: an arc appears twice")
-            if not n_in or not n_out:
-                errors.append(f"junction {junc.id}: needs at least one incoming and one outgoing arc")
+        # boundary conditions and arc ends by position; a missing arc is None
+        rho_max = net.model.rho_max
+        bc_arcs = list(map(position.get, self.bc_arc_ids))
+        sourced = set(bc_arcs)
+        bcs_ok = (
+            None not in sourced
+            and len(sourced) == len(bc_arcs)
+            and producer.keys().isdisjoint(sourced)
+            # each comparison is False on NaN
+            and all(map(operator.le, repeat(0.0), self.rho_bar))
+            and all(map(operator.ge, repeat(rho_max), self.rho_bar))
+            and all(map(operator.le, repeat(0.0), self.tracer_in))
+            and all(map(operator.ge, repeat(1.0), self.tracer_in))
+        )
+        if not bcs_ok:
+            errors += _boundary_faults(net.boundary_conditions, position, producer, rho_max)
+        # a duplicate arc is fed by no junction and no boundary condition,
+        # so sources holds it and the first test fails
+        ends_ok = (
+            sourced.issuperset(self.sources)
+            and list(map(kinds.__getitem__, self.sources)).count("external_in") == kinds.count("external_in")
+            and list(map(kinds.__getitem__, self.sinks)).count("external_out") == kinds.count("external_out")
+            and "circle" not in map(kinds.__getitem__, chain(self.sources, self.sinks))
+        )
+        if not ends_ok:
+            errors += _end_faults(net.arcs, position, producer, consumer, sourced)
 
-            if faulty:
-                if junc.distribution.shape != (n_out, n_in):
-                    errors.append(
-                        f"junction {junc.id}: distribution shape {junc.distribution.shape} "
-                        f"does not match ({n_out}, {n_in})"
-                    )
-                else:
-                    entries = [x for row in junc.distribution.tolist() for x in row]
-                    if not all(map(math.isfinite, entries)):
-                        errors.append(f"junction {junc.id}: non-finite distribution entry")
-                    else:
-                        if min(entries, default=0.0) < 0.0:
-                            errors.append(f"junction {junc.id}: negative distribution entry")
-                        for i in range(n_in):
-                            total = sum(entries[i::n_in])  # column i, in row order
-                            if abs(total - 1.0) > _COLUMN_TOL:
-                                errors.append(
-                                    f"junction {junc.id}: distribution column {i} mass {total:g} != 1"
-                                )
-                weights = junc.priority.tolist()
-                if junc.priority.shape != (n_in,):
-                    errors.append(f"junction {junc.id}: priority length != incoming arcs")
-                elif not all(map(math.isfinite, weights)):
-                    errors.append(f"junction {junc.id}: non-finite priority weight")
-                elif n_in:
-                    if min(weights) < -1e-12 or max(weights) > 1.0 + 1e-12:
-                        errors.append(f"junction {junc.id}: priority weights outside [0, 1]")
-                    if abs(sum(weights) - 1.0) > _COLUMN_TOL:
-                        errors.append(f"junction {junc.id}: priority weights must sum to 1")
-
-            if junc.coefficient_mode not in ("static", "dynamic"):
-                errors.append(f"junction {junc.id}: unknown coefficient_mode {junc.coefficient_mode!r}")
-            if junc.coefficient_mode == "dynamic":
-                if n_in != 1 or n_out != 2:
-                    errors.append(f"junction {junc.id}: dynamic mode requires 1 incoming and 2 outgoing arcs")
-                if junc.exit_arc not in junc.outgoing:
-                    errors.append(f"junction {junc.id}: exit_arc must name one of its outgoing arcs")
-                if junc.exit_tracer not in (0.0, 1.0):
-                    errors.append(f"junction {junc.id}: exit_tracer must be 0 or 1")
-
-        for arc_id, count in used_as_in.items():
-            if count > 1:
-                errors.append(f"arc {arc_id}: consumed by {count} junctions")
-        for arc_id, count in used_as_out.items():
-            if count > 1:
-                errors.append(f"arc {arc_id}: produced by {count} junctions")
-
-        bc_arcs: set[str] = set()
-        for bc in self.boundary_conditions:
-            if bc.arc_id in bc_arcs:
-                errors.append(f"arc {bc.arc_id}: multiple boundary conditions")
-            bc_arcs.add(bc.arc_id)
-            if bc.arc_id not in position:
-                errors.append(f"boundary condition references missing arc {bc.arc_id}")
-                continue
-            if bc.arc_id in used_as_out:
-                errors.append(f"arc {bc.arc_id}: boundary condition on a non-source arc")
-            if not 0.0 <= bc.rho_bar <= self.model.rho_max:
-                errors.append(f"arc {bc.arc_id}: rho_bar {bc.rho_bar} outside [0, {self.model.rho_max}]")
-            if not 0.0 <= bc.tracer_in <= 1.0:
-                errors.append(f"arc {bc.arc_id}: tracer_in {bc.tracer_in} outside [0, 1]")
-
-        for arc in self.arcs:
-            has_up = arc.id in used_as_out
-            has_down = arc.id in used_as_in
-            if not has_up and arc.id not in bc_arcs:
-                errors.append(f"arc {arc.id}: no upstream junction and no boundary condition")
-            if arc.kind == "external_in" and has_up:
-                errors.append(f"arc {arc.id}: external_in but fed by a junction")
-            if arc.kind == "external_out" and has_down:
-                errors.append(f"arc {arc.id}: external_out but consumed by a junction")
-            if arc.kind == "circle" and not (has_up and has_down):
-                errors.append(f"arc {arc.id}: circle arc must connect two junctions")
-
-        components = len({find(k) for k in position.values()})
+        components = _components(self, first, plain, consumer, producer)
         if components > 1:
             errors.append(f"graph is not connected ({components} components)")
         return errors
 
 
-def _number_faults(junctions: list[Junction]) -> list[bool]:
-    """Whether each junction's distribution or priority may fail a check of validate.
+def _components(flat: _Flat, first: dict, plain: bool, consumer: dict, producer: dict) -> int:
+    """How many parts the network falls into, ignoring direction.
 
-    Judges every junction's numbers in one pass over their concatenated
-    entries.  A junction fails when its distribution's shape or its
-    priority's length is wrong, when an entry of either is NaN or lies
-    outside [0, 1 + 1e-12], or when a column's mass or the priority's
-    sum is off 1 by more than _COLUMN_TOL.  That takes in every junction
-    validate reports a number of, and a few it passes: a priority weight
-    in [-1e-12, 0), a distribution entry just above 1, a priority of no
-    weights.  bincount adds its weights in order, so a column's mass is
-    summed in row order and a priority's weights one by one from 0, as
-    validate sums them: a sum at 1 within a rounding of the tolerance
-    gets the same verdict.
+    The junctions that name one arc are joined, all junctions of one id
+    count as one (first maps an id to its first junction), and an arc no
+    junction names is a part of its own.  In a plain network, one whose
+    arcs each have at most one consumer and one producer and whose
+    junction ids are each one junction's, an arc joins its producer and
+    its consumer (producer and consumer map a position to them);
+    otherwise each junction that names an arc is joined to the first
+    that does.  A union-find over the junctions, halving each path it
+    climbs.
     """
-    n_in = [len(j.incoming) for j in junctions]
-    n_out = [len(j.outgoing) for j in junctions]
-    faulty = [j.distribution.shape != (o, i) or j.priority.shape != (i,) for j, o, i in zip(junctions, n_out, n_in)]
-    # each junction's distribution column by column, each column in row
-    # order, then its priority: segments that must each sum to 1
-    arrays = [a for j, bad in zip(junctions, faulty) if not bad for a in (j.distribution.T, j.priority)]
-    values = np.concatenate(arrays + [_NO_ENTRIES], axis=None, dtype=float)
-    lengths = [n for o, i, bad in zip(n_out, n_in, faulty) if not bad for n in [o] * i + [i]]
-    owner = [k for k, (i, bad) in enumerate(zip(n_in, faulty)) if not bad for _ in range(i + 1)]
-    # an entry outside [0, 1 + 1e-12], or NaN, counts as 2, which puts
-    # its segment's sum off 1
-    values[~(np.minimum(values, 1.0 + 1e-12 - values) >= 0.0)] = 2.0
-    off = np.bincount(np.arange(len(lengths)).repeat(lengths), weights=values, minlength=len(lengths)) - 1.0
-    for s in (np.abs(off) > _COLUMN_TOL).nonzero()[0].tolist():
-        faulty[owner[s]] = True
-    return faulty
+    if plain:
+        linked = list(consumer.keys() & producer.keys())
+        pairs = zip(map(producer.__getitem__, linked), map(consumer.__getitem__, linked))
+        named = list(compress(count(), map(operator.or_, flat.n_in, flat.n_out)))
+        unnamed = len(flat.position) - len(consumer) - len(producer) + len(linked)
+    else:
+        arcs = flat.incoming + flat.outgoing
+        # by entry of arcs, the first junction of its junction's id
+        group = list(map(first.__getitem__, flat.junction_ids))
+        groups = list(chain.from_iterable(map(repeat, group + group, flat.n_in + flat.n_out)))
+        # each named arc's first group; a dangling reference names none
+        head = dict(zip(reversed(arcs), reversed(groups)))
+        head.pop(None, None)
+        heads = list(map(head.get, arcs, groups))
+        pairs = compress(zip(groups, heads), map(operator.ne, groups, heads))
+        named, unnamed = list(set(head.values())), len(flat.position) - len(head)
+    parent = list(range(len(flat.junction_ids)))
+    for g, h in pairs:
+        while parent[g] != g:
+            parent[g] = g = parent[parent[g]]
+        while parent[h] != h:
+            parent[h] = h = parent[parent[h]]
+        parent[g] = h
+    return sum(map(operator.eq, map(parent.__getitem__, named), named)) + unnamed
+
+
+def _arc_faults(arcs: list[Arc], position: dict[str, int]) -> list[str]:
+    """The faults of each arc on its own, in arc order."""
+    errors = []
+    for k, arc in enumerate(arcs):
+        if position[arc.id] != k:
+            errors.append(f"arc {arc.id}: duplicate id")
+        if not _CSV_SPECIAL.isdisjoint(arc.id):
+            errors.append(f"arc {arc.id!r}: id holds a comma, quote or line break")
+        if not math.isfinite(arc.b - arc.a):  # also NaN or infinite ends
+            errors.append(f"arc {arc.id}: a={arc.a}, b={arc.b} give no finite length")
+        elif not arc.b > arc.a:
+            errors.append(f"arc {arc.id}: b={arc.b} must exceed a={arc.a}")
+        if not _is_count(arc.n_cells):
+            errors.append(f"arc {arc.id}: n_cells must be an integer, got {arc.n_cells!r}")
+        elif arc.n_cells < 1:
+            errors.append(f"arc {arc.id}: n_cells must be >= 1")
+        if arc.kind not in ARC_KINDS:
+            errors.append(f"arc {arc.id}: unknown kind {arc.kind!r}")
+    return errors
+
+
+def _junction_faults(junc: Junction, duplicate: bool, position: dict[str, int], numbers: bool) -> list[str]:
+    """The faults of one junction; its numbers only when numbers is set."""
+    errors = []
+    if duplicate:
+        errors.append(f"junction {junc.id}: duplicate id")
+    if not _CSV_SPECIAL.isdisjoint(junc.id):
+        errors.append(f"junction {junc.id!r}: id holds a comma, quote or line break")
+    for arc_id in chain(junc.incoming, junc.outgoing):
+        if arc_id not in position:
+            errors.append(f"junction {junc.id}: dangling reference to arc {arc_id}")
+    n_in, n_out = len(junc.incoming), len(junc.outgoing)
+    if len(set(junc.incoming + junc.outgoing)) != n_in + n_out:
+        errors.append(f"junction {junc.id}: an arc appears twice")
+    if not n_in or not n_out:
+        errors.append(f"junction {junc.id}: needs at least one incoming and one outgoing arc")
+
+    if numbers:
+        if junc.distribution.shape != (n_out, n_in):
+            errors.append(
+                f"junction {junc.id}: distribution shape {junc.distribution.shape} does not match ({n_out}, {n_in})"
+            )
+        else:
+            entries = [x for row in junc.distribution.tolist() for x in row]
+            if not all(map(math.isfinite, entries)):
+                errors.append(f"junction {junc.id}: non-finite distribution entry")
+            else:
+                if min(entries, default=0.0) < 0.0:
+                    errors.append(f"junction {junc.id}: negative distribution entry")
+                for i in range(n_in):
+                    total = sum(entries[i::n_in])  # column i, in row order
+                    if abs(total - 1.0) > _COLUMN_TOL:
+                        errors.append(f"junction {junc.id}: distribution column {i} mass {total:g} != 1")
+        weights = junc.priority.tolist()
+        if junc.priority.shape != (n_in,):
+            errors.append(f"junction {junc.id}: priority length != incoming arcs")
+        elif not all(map(math.isfinite, weights)):
+            errors.append(f"junction {junc.id}: non-finite priority weight")
+        elif n_in:
+            if min(weights) < -1e-12 or max(weights) > 1.0 + 1e-12:
+                errors.append(f"junction {junc.id}: priority weights outside [0, 1]")
+            if abs(sum(weights) - 1.0) > _COLUMN_TOL:
+                errors.append(f"junction {junc.id}: priority weights must sum to 1")
+
+    if junc.coefficient_mode not in _MODES:
+        errors.append(f"junction {junc.id}: unknown coefficient_mode {junc.coefficient_mode!r}")
+    if junc.coefficient_mode == "dynamic":
+        if n_in != 1 or n_out != 2:
+            errors.append(f"junction {junc.id}: dynamic mode requires 1 incoming and 2 outgoing arcs")
+        if junc.exit_arc not in junc.outgoing:
+            errors.append(f"junction {junc.id}: exit_arc must name one of its outgoing arcs")
+        if junc.exit_tracer not in (0.0, 1.0):
+            errors.append(f"junction {junc.id}: exit_tracer must be 0 or 1")
+    return errors
+
+
+def _use_faults(incoming_ids: Iterable[str], outgoing_ids: Iterable[str]) -> list[str]:
+    """Each arc id that more than one junction consumes, then produces."""
+    errors = []
+    for arc_id, uses in Counter(incoming_ids).items():
+        if uses > 1:
+            errors.append(f"arc {arc_id}: consumed by {uses} junctions")
+    for arc_id, uses in Counter(outgoing_ids).items():
+        if uses > 1:
+            errors.append(f"arc {arc_id}: produced by {uses} junctions")
+    return errors
+
+
+def _boundary_faults(
+    bcs: list[BoundaryCondition], position: dict[str, int], producer: dict[int, int], rho_max: float
+) -> list[str]:
+    """The faults of each boundary condition, in order."""
+    errors = []
+    bc_arcs: set[str] = set()
+    for bc in bcs:
+        if bc.arc_id in bc_arcs:
+            errors.append(f"arc {bc.arc_id}: multiple boundary conditions")
+        bc_arcs.add(bc.arc_id)
+        if bc.arc_id not in position:
+            errors.append(f"boundary condition references missing arc {bc.arc_id}")
+            continue
+        if position[bc.arc_id] in producer:
+            errors.append(f"arc {bc.arc_id}: boundary condition on a non-source arc")
+        if not 0.0 <= bc.rho_bar <= rho_max:
+            errors.append(f"arc {bc.arc_id}: rho_bar {bc.rho_bar} outside [0, {rho_max}]")
+        if not 0.0 <= bc.tracer_in <= 1.0:
+            errors.append(f"arc {bc.arc_id}: tracer_in {bc.tracer_in} outside [0, 1]")
+    return errors
+
+
+def _end_faults(
+    arcs: list[Arc], position: dict[str, int], producer: dict[int, int], consumer: dict[int, int], sourced: set
+) -> list[str]:
+    """Each arc whose kind its ends, or its lack of inflow, contradict, in arc order."""
+    errors = []
+    for arc in arcs:
+        k = position[arc.id]
+        has_up, has_down = k in producer, k in consumer
+        if not has_up and k not in sourced:
+            errors.append(f"arc {arc.id}: no upstream junction and no boundary condition")
+        if arc.kind == "external_in" and has_up:
+            errors.append(f"arc {arc.id}: external_in but fed by a junction")
+        if arc.kind == "external_out" and has_down:
+            errors.append(f"arc {arc.id}: external_out but consumed by a junction")
+        if arc.kind == "circle" and not (has_up and has_down):
+            errors.append(f"arc {arc.id}: circle arc must connect two junctions")
+    return errors
 
 
 def _first(items: list, item_id: str):

@@ -34,6 +34,7 @@ contribute to mixtures.
 from __future__ import annotations
 
 import math
+import operator
 import time as _time
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import junctions as _junctions
 from .flux import DENSITY_TOL, FluxModel
-from .network import BoundaryCondition, InvalidInputError, Junction, Network, NetworkValidationError
+from .network import InvalidInputError, Junction, Network, NetworkValidationError, _Flat
 
 __all__ = [
     "EPS_FLUX",
@@ -242,7 +243,10 @@ def _state_bytes(state: SimState) -> list[bytes]:
 class Simulator:
     """Stepping engine bound to one validated network.
 
-    Construction flattens all arcs into one cell array and stacks every
+    Construction reads the network once into flat lists, raises
+    NetworkValidationError with validate's report when that read breaks
+    one of its rules, and builds everything else from the same read: it
+    flattens all arcs into one cell array and stacks every
     junction, reservoir and sink end as one row of one table, in groups
     of one kind and width class, each padded only to its own widest row.
     A step gathers every group's slots in one call, solves each group in
@@ -264,46 +268,46 @@ class Simulator:
     """
 
     def __init__(self, net: Network):
-        report = net.validate()
+        flat = _Flat(net)
+        report = flat.faults()
         if report:
             raise NetworkValidationError(report)
         self.model: FluxModel = net.model
 
-        arcs = net.arcs
-        self.arc_ids = [a.id for a in arcs]
-        self._arc_index = {a: i for i, a in enumerate(self.arc_ids)}
-        n_cells = np.array([a.n_cells for a in arcs], dtype=np.intp)
+        self.arc_ids = flat.arc_ids
+        self._arc_index = flat.position
+        n_cells = np.array(flat.n_cells, dtype=np.intp)
         self.n_cells = n_cells
-        self.cell_offsets = np.concatenate([[0], np.cumsum(n_cells)])
+        self.cell_offsets = np.concatenate([[0], n_cells.cumsum()])
         self.total_cells = int(self.cell_offsets[-1])
-        self._arc_a = np.array([a.a for a in arcs])
-        self.dx = np.array([a.dx for a in arcs])
-        self.dx_cell = np.repeat(self.dx, n_cells)
+        self._arc_a = np.array(flat.a)
+        # each arc's dx as Arc.dx computes it
+        dx = list(map(operator.truediv, flat.lengths, flat.n_cells))
+        self.dx = np.array(dx)
+        self.dx_cell = self.dx.repeat(n_cells)
 
         # interface c is cell c's left face; total_cells + k ends arc k
-        self.total_ifaces = self.total_cells + len(arcs)
+        self.total_ifaces = self.total_cells + len(self.arc_ids)
         self.arc_first_iface = self.cell_offsets[:-1]
         self._arc_last_cell = self.cell_offsets[1:] - 1
-        self.arc_last_iface = self.total_cells + np.arange(len(arcs), dtype=np.intp)
+        self.arc_last_iface = self.total_cells + np.arange(len(self.arc_ids), dtype=np.intp)
 
-        reservoirs = self._build_junction_table(net)
+        rho_bar, tracer = self._build_junction_table(flat)
         self._check_interface_cover()
 
         # work buffers for the hot path; these make compute_fluxes/apply
         # non-reentrant, so a Simulator must not step from two threads
         # the cells and the dead cell, then the reservoirs and the outlet
         head = np.zeros(self.total_cells + 1)
-        rho_bar = np.array([bc.rho_bar for bc in reservoirs])
-        self._D = np.concatenate([head, self.model.demand(rho_bar), [0.0]])
-        self._S = np.concatenate([head, np.zeros(len(reservoirs)), [np.inf]])
-        tracer = [bc.tracer_in for bc in reservoirs]
+        self._D = np.concatenate([head, self.model.demand(np.array(rho_bar)), [0.0]])
+        self._S = np.concatenate([head, np.zeros(len(rho_bar)), [np.inf]])
         self._phi = np.concatenate([head, tracer, [0.0]]) if self._dyn_ids else None
         self._work = np.empty(self.total_cells)
-        self._dx_cells = float(self.dx[0]) if np.all(self.dx == self.dx[0]) else self.dx_cell
+        self._dx_cells = float(dx[0]) if min(dx) == max(dx) else self.dx_cell
 
     # -- layout ------------------------------------------------------------
 
-    def _build_junction_table(self, net: Network) -> list[BoundaryCondition]:
+    def _build_junction_table(self, flat: _Flat) -> tuple[list, list]:
         """Stack every arc end as one row of the junction table.
 
         After the network's junctions comes a one-in/one-out row, with
@@ -313,7 +317,7 @@ class Simulator:
         a slot per reservoir in arc order, then the outlet, whose supply
         is infinite.  On a slot's side a row has the scratch interface
         total_ifaces, which no cell reads.  Returns the reservoirs'
-        boundary conditions, whose demand and tracer fill their slots.
+        densities and tracers, which fill their slots' demand and tracer.
 
         Rows are grouped by kind and, within a kind, by the width class
         of their n_in and of their n_out (widths 1 to 4, then each power
@@ -334,10 +338,11 @@ class Simulator:
         network order.
 
         The build reads every junction's arcs, widths, priorities and
-        distribution once, into flat arrays, and then makes the same
-        numpy calls whatever the number of rows or groups.  Two stable
-        sorts, by -priority and then by row, put each row's incoming arcs
-        in priority order with position breaking ties, as priority_order
+        distribution from the network's flat read, which __init__ has
+        judged, not from the junctions, and makes the same numpy calls
+        whatever the number of rows or groups.  Two stable sorts, by
+        -priority and then by row, put each row's incoming arcs in
+        priority order with position breaking ties, as priority_order
         does.  A row's kind comes from its widths: one incoming arc makes
         a diverge, and otherwise one outgoing arc a merge, whose entries
         validate has checked to lie within the column tolerance of 1, as
@@ -346,30 +351,25 @@ class Simulator:
         from the distribution; the balance check and a run's report slice
         the junctions' arcs and distribution in network order, not the table.
         """
-        idx = self._arc_index
-        net_juncs = net.junctions
-        n_arcs, n_juncs = len(self.arc_ids), len(net_juncs)
-        # every junction's arcs, widths, priorities and distribution, read
-        # in one pass
-        incoming = [idx[a] for j in net_juncs for a in j.incoming]
-        outgoing = [idx[a] for j in net_juncs for a in j.outgoing]
+        n_arcs, n_juncs = len(self.arc_ids), len(flat.junction_ids)
+        incoming, outgoing = flat.incoming, flat.outgoing
         # sources are fed by no junction and sinks drain into none; arc
         # n_arcs stands for the dead cell and n_arcs + 1 + s for slot
         # total_cells + s, so a reservoir's row runs from its slot into its
         # source arc, and a sink's row from its arc into the outlet
-        fed, drained = set(outgoing), set(incoming)
-        sources = [k for k in range(n_arcs) if k not in fed]
-        sinks = [k for k in range(n_arcs) if k not in drained]
+        sources, sinks = flat.sources, flat.sinks
         outlet = n_arcs + 1 + len(sources)
         in_arc = np.array(incoming + list(range(n_arcs + 1, outlet)) + sinks, dtype=np.intp)
         out_arc = np.array(outgoing + sources + [outlet] * len(sinks), dtype=np.intp)
         one = [1] * (len(sources) + len(sinks))  # per reservoir and sink row
-        n_in = [len(j.incoming) for j in net_juncs] + one
-        n_out = [len(j.outgoing) for j in net_juncs] + one
+        n_in = flat.n_in + one
+        n_out = flat.n_out + one
         widest = max(n_in + n_out)
-        counts = np.array([n_in, n_out, [i * o for i, o in zip(n_in, n_out)]], dtype=np.intp)
-        priority = np.concatenate([j.priority for j in net_juncs] + [one], dtype=float)
-        distribution = np.concatenate([j.distribution for j in net_juncs] + [one], axis=None, dtype=float)
+        counts = np.array([n_in, n_out, list(map(operator.mul, n_in, n_out))], dtype=np.intp)
+        # numbers ends with a priority weight per incoming arc
+        n_entries = len(flat.numbers) - len(incoming)
+        priority = np.concatenate([flat.numbers[n_entries:], one])
+        distribution = np.concatenate([flat.numbers[:n_entries], one])
         widths = counts[:2]
         n_rows = len(n_in)
         # by row in network order: its first incoming arc, outgoing arc
@@ -454,23 +454,22 @@ class Simulator:
         # arcs and distribution, in network order, not the table: its first
         # incoming arc, outgoing arc and distribution entry, and how many
         # (a ring has no reservoir or sink rows after its junctions')
-        self._junction_ids = [j.id for j in net_juncs]
+        self._junction_ids = flat.junction_ids
         self._junction_in, self._junction_out = in_arc[: len(incoming)], out_arc[: len(outgoing)]
         self._junction_at, self._junction_counts = at[:, :n_juncs], counts[:, :n_juncs]
         self._junction_dist = distribution[: counts[2, :n_juncs].sum()].copy()
 
         # dynamic exits (one in, two out) are diverge rows, in network
         # order; _dyn_split holds the flat indices of their splits in routing
-        dyn = [k for k, j in enumerate(net_juncs) if j.coefficient_mode == "dynamic"]
-        dynamic = [net_juncs[k] for k in dyn]
+        dyn = flat.dynamic
         in_at, out_at, routing_at, stride = base[:, dyn]
         self._dyn_split = routing_at[:, None] + stride[:, None] * np.arange(2)
         # the initial splits, copied before the first step overwrites them
         self._dyn_initial = self._routing[self._dyn_split]
-        self._dyn_ids = [j.id for j in dynamic]
-        exit_col = np.array([j.outgoing.index(j.exit_arc) for j in dynamic], dtype=np.intp)
+        self._dyn_ids = [flat.junction_ids[k] for k in dyn]
+        exit_col = np.array([flat.outs[k].index(flat.exit_arcs[k]) for k in dyn], dtype=np.intp)
         self._dyn_exit_mask = exit_col[:, None] == [0, 1]
-        self._dyn_takes_marked = np.array([j.exit_tracer == 1.0 for j in dynamic], dtype=bool)
+        self._dyn_takes_marked = np.array([flat.exit_tracers[k] == 1.0 for k in dyn], dtype=bool)
         self._dyn_in_cell = self._in_cell[in_at]
         self._dyn_in_iface = self._in_iface[in_at]
         self._dyn_exit_iface = self._out_iface[out_at + exit_col]
@@ -487,8 +486,9 @@ class Simulator:
             d, gamma = self._d[ins].reshape(b, w_in), self._gamma[ins].reshape(b, w_in)
             s = self._s[outs].reshape(b, w_out)
             self._groups.append((_junctions.KERNELS[kinds[g // 64**2]], d, s, routing, gamma))
-        bc_by_arc = {bc.arc_id: bc for bc in net.boundary_conditions}
-        return [bc_by_arc[self.arc_ids[k]] for k in sources]
+        bc_at = dict(zip(flat.bc_arc_ids, range(len(flat.bc_arc_ids))))
+        reservoirs = [bc_at[self.arc_ids[k]] for k in sources]
+        return [flat.rho_bar[b] for b in reservoirs], [flat.tracer_in[b] for b in reservoirs]
 
     def _check_interface_cover(self):
         # every interface is written once: the interior rule writes each

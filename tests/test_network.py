@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tagflow.bench import build_diamond_chain
 from tagflow.flux import FluxModel
 from tagflow.network import (
     Arc,
@@ -343,6 +344,14 @@ def _roundabout_j2(distribution):
     return net
 
 
+def _roundabout_s1c_cells():
+    """The roundabout at 4 cells per arc with 2.5 cells on S1C, which a
+    Simulator would truncate to 2 cells of dx 0.4, a 0.8-long arc."""
+    net = build_roundabout(0.5, 0.5, 0.1, 0.1, cells_per_arc=4)
+    net.arc("S1C").n_cells = 2.5
+    return net
+
+
 def _several_faults():
     arcs = _arcs("A:in A:out B:ramp C:gen C,D:gen")
     arcs[2].n_cells = 0
@@ -366,6 +375,10 @@ _VALIDATE_CASES = {
     "infinite-length": (lambda: _arc_a(b=math.inf), ["arc A: a=0.0, b=inf give no finite length"]),
     "empty-arc": (lambda: _arc_a(a=1.0), ["arc A: b=1.0 must exceed a=1.0"]),
     "no-cells": (lambda: _arc_a(n_cells=0), ["arc A: n_cells must be >= 1"]),
+    "fractional-cells": (_roundabout_s1c_cells, ["arc S1C: n_cells must be an integer, got 2.5"]),
+    "bool-cells": (lambda: _arc_a(n_cells=True), ["arc A: n_cells must be an integer, got True"]),
+    "string-cells": (lambda: _arc_a(n_cells="4"), ["arc A: n_cells must be an integer, got '4'"]),
+    "numpy-integer-cells": (lambda: _arc_a(n_cells=np.int64(3)), []),
     "unknown-kind": (lambda: _line("A:ramp B:out"), ["arc A: unknown kind 'ramp'"]),
     "no-arcs": (lambda: _net([], [], ()), ["network has no arcs"]),
     "too-many-cells": (
@@ -391,6 +404,10 @@ _VALIDATE_CASES = {
     "arc-twice": (
         lambda: _net("A:in B:out", [Junction("J", ["A", "A"], ["B"], [[1.0, 1.0]])]),
         ["junction J: an arc appears twice", "arc A: consumed by 2 junctions"],
+    ),
+    "arc-in-and-out": (
+        lambda: _net("A:in B:out X:gen", [Junction("J", ["A", "X"], ["B", "X"], [[0.5, 0.5], [0.5, 0.5]])]),
+        ["junction J: an arc appears twice"],
     ),
     "no-outgoing": (
         lambda: _net("A:in", [Junction("J", ["A"], [], np.zeros((0, 1)))]),
@@ -466,6 +483,14 @@ _VALIDATE_CASES = {
     "tracer-in": (
         lambda: _line(bcs=[BoundaryCondition("A", 0.1, 2.0)]),
         ["arc A: tracer_in 2.0 outside [0, 1]"],
+    ),
+    "negative-rho-bar": (
+        lambda: _line(bcs=[BoundaryCondition("A", -0.1)]),
+        ["arc A: rho_bar -0.1 outside [0, 1.0]"],
+    ),
+    "negative-tracer-in": (
+        lambda: _line(bcs=[BoundaryCondition("A", 0.1, -0.5)]),
+        ["arc A: tracer_in -0.5 outside [0, 1]"],
     ),
     "no-inflow": (lambda: _line(bcs=()), ["arc A: no upstream junction and no boundary condition"]),
     "lone-arc-no-inflow": (
@@ -581,6 +606,61 @@ def test_validate_sums_columns_and_weights_in_order(build, expected):
     assert build().validate() == expected
 
 
+def _set(obj, **attrs):
+    """Set attributes of obj; an edit of test_validate_finds_a_fault_far_from_the_first_item."""
+    for name, value in attrs.items():
+        setattr(obj, name, value)
+
+
+_FAR_FAULTS = {
+    "dangling": (
+        lambda net, j, a: _set(j, incoming=["U99", "MISSING"]),
+        "junction merge99: dangling reference to arc MISSING",
+    ),
+    "duplicate-arc": (
+        lambda net, j, a: net.arcs.append(Arc("T100", 0.0, 1.0, 2, "external_out")),
+        "arc T100: duplicate id",
+    ),
+    "consumed-twice": (lambda net, j, a: _set(j, incoming=["U99", "U98"]), "arc U98: consumed by 2 junctions"),
+    "column-mass": (
+        lambda net, j, a: _set(j, distribution=np.array([[1.0, 0.5]])),
+        "junction merge99: distribution column 1 mass 0.5 != 1",
+    ),
+    "priority-sum": (
+        lambda net, j, a: _set(j, priority=np.array([0.7, 0.2])),
+        "junction merge99: priority weights must sum to 1",
+    ),
+    "nan-entry": (
+        lambda net, j, a: _set(j, distribution=np.array([[1.0, math.nan]])),
+        "junction merge99: non-finite distribution entry",
+    ),
+    "unknown-kind": (lambda net, j, a: _set(a, kind="ramp"), "arc T100: unknown kind 'ramp'"),
+    "boundary-condition-not-source": (
+        lambda net, j, a: net.boundary_conditions.append(BoundaryCondition("T100", 0.1)),
+        "arc T100: boundary condition on a non-source arc",
+    ),
+    "disconnected-arc": (
+        lambda net, j, a: (
+            net.arcs.append(Arc("X", 0.0, 1.0, 2, "generic")),
+            net.boundary_conditions.append(BoundaryCondition("X", 0.1)),
+        ),
+        "graph is not connected (2 components)",
+    ),
+    "fractional-cells": (lambda net, j, a: _set(a, n_cells=2.5), "arc T100: n_cells must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("edit, expected", _FAR_FAULTS.values(), ids=_FAR_FAULTS.keys())
+def test_validate_finds_a_fault_far_from_the_first_item(edit, expected):
+    # validate judges the whole network at once; one fault put in its
+    # last junction or arc, or added after them, is found and worded alone
+    net = build_diamond_chain(300, 2)  # 100 diamonds
+    last_junction, last_arc = net.junctions[-1], net.arcs[-1]
+    assert (last_junction.id, last_arc.id) == ("merge99", "T100") and net.validate() == []
+    edit(net, last_junction, last_arc)
+    assert net.validate() == [expected]
+
+
 def test_junction_numbers_keep_their_shapes_dtype_and_values():
     # as np.atleast_2d / np.atleast_1d of np.asarray(.., dtype=float) made them
     f32 = np.array([0.25, 0.75], dtype=np.float32)
@@ -598,6 +678,8 @@ def test_junction_numbers_keep_their_shapes_dtype_and_values():
             before = np.atleast_2d(before) if ndim == 2 else np.atleast_1d(before)
             assert got.dtype == np.float64 and got.shape == before.shape
             assert got.tobytes() == before.tobytes()
+            if isinstance(given, np.ndarray) and given.dtype == np.float64:
+                assert np.shares_memory(got, given)  # kept, not copied
     scalar = Junction("J", ["A"], ["C"], 1.0, priority=1.0)
     assert scalar.distribution.shape == (1, 1) and scalar.priority.shape == (1,)
     assert scalar.distribution.dtype == scalar.priority.dtype == np.float64

@@ -41,6 +41,7 @@ from helpers import (
     single_arc_network,
     topic_network,
 )
+from test_network import _VALIDATE_CASES
 
 UNIT = FluxModel()
 RHO_BAR_01 = (1.0 - math.sqrt(0.6)) / 2.0  # unit-model density with flux 0.1
@@ -1340,6 +1341,13 @@ def test_simulator_reports_an_invalid_network_as_parse_scenario_does():
         Simulator(net)
     assert len(info.value.errors) > 1
     assert info.value.errors == net.validate()
+    # a Simulator judges its own read of the network, not through
+    # validate, and must give every report as validate words it
+    for name, (build, expected) in _VALIDATE_CASES.items():
+        if expected:
+            with pytest.raises(NetworkValidationError) as info:
+                Simulator(build())
+            assert info.value.errors == expected, name
 
 
 @pytest.mark.parametrize(

